@@ -18,10 +18,10 @@ from .counter import (
     MeanDistribution,
     ResourceCapError,
     WindowQuery,
-    clear_distribution_cache,
     count_window,
     finite_rate,
     mean_distribution,
+    mean_distributions,
 )
 from .laws import (
     LawReport,
@@ -42,7 +42,6 @@ from .rate import (
     betti_curve,
     concavity_check,
     epsilon_curve,
-    finite_kind,
     maxent_rate,
     window_sup_rate,
 )
@@ -95,12 +94,10 @@ __all__ = [
     "check_fekete",
     "check_superadditivity",
     "circle_height",
-    "clear_distribution_cache",
     "concavity_check",
     "count_window",
     "entry_multiset",
     "epsilon_curve",
-    "finite_kind",
     "finite_rate",
     "free_energy",
     "gibbs",
@@ -108,6 +105,7 @@ __all__ = [
     "legendre_epsilon",
     "maxent_rate",
     "mean_distribution",
+    "mean_distributions",
     "merge_reports",
     "preset",
     "preset_names",

@@ -3,7 +3,9 @@
 Averaging n independent copies of a spectrum with common denominator D
 puts every achievable mean on the grid s / (n*D), s = 0 .. n*D.  The
 number of n-tuples of critical points at each grid value is an integer,
-obtained by convolving the single-site histogram with itself n times.
+the coefficient of x**s in the n-th power of the single-site histogram.
+One power comes straight from J.C.P. Miller's recurrence; a sweep over
+every n up to some n_max rolls one convolution per step instead.
 Counts stay Python integers throughout; the only float in this module is
 the final ``log(count) / n`` of :func:`finite_rate`.
 """
@@ -12,10 +14,11 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from operator import add, mul
+from typing import Iterator, Optional, Tuple
 
 from .spectrum import CriticalSpectrum, as_rational
 
@@ -55,10 +58,6 @@ class MeanDistribution:
     grid_denom: int
     counts: Tuple[int, ...]
     kind: Kind
-    # Cumulative sums, built lazily on the first window query.
-    _prefix: Optional[Tuple[int, ...]] = field(
-        init=False, default=None, compare=False, repr=False
-    )
 
     def __post_init__(self):
         if self.n < 1:
@@ -94,16 +93,10 @@ class WindowQuery:
             raise ValueError(f"window around {self.c} +- {self.delta} misses [0, 1]")
 
 
-_chain_lock = threading.Lock()
-# (spectrum, kind) -> list of count tuples, entry i holding the n = i + 1
-# distribution.  Guarded by the single lock above: readers take it briefly,
-# the writer extends the chain in place before releasing.
-_chains: Dict[Tuple[CriticalSpectrum, Kind], List[Tuple[int, ...]]] = {}
-
-
-def clear_distribution_cache() -> None:
-    with _chain_lock:
-        _chains.clear()
+def _check_cap(spec: CriticalSpectrum, n: int, cap: Optional[int]) -> None:
+    limit = DEFAULT_CAP if cap is None else cap
+    if n * spec.denom > limit:
+        raise ResourceCapError(f"sum grid n*denom = {n * spec.denom} exceeds cap {limit}")
 
 
 def _site_histogram(spec: CriticalSpectrum, kind: Kind) -> Tuple[int, ...]:
@@ -117,16 +110,35 @@ def _site_histogram(spec: CriticalSpectrum, kind: Kind) -> Tuple[int, ...]:
 
 def _convolve(counts: Tuple[int, ...], site: Tuple[int, ...]) -> Tuple[int, ...]:
     out = [0] * (len(counts) + len(site) - 1)
+    first = True
     for offset, w in enumerate(site):
-        if w == 0:
-            continue
-        if w == 1:
-            for i, a in enumerate(counts):
-                out[offset + i] += a
-        else:
-            for i, a in enumerate(counts):
-                out[offset + i] += a * w
+        if w:
+            end = offset + len(counts)
+            scaled = counts if w == 1 else map(mul, counts, repeat(w))
+            # the first atom lands on zeros, so it is stored, not added
+            out[offset:end] = scaled if first else map(add, out[offset:end], scaled)
+            first = False
     return tuple(out)
+
+
+def _power(site: Tuple[int, ...], n: int) -> Tuple[int, ...]:
+    """Coefficients of P(x)**n, P given by its coefficients ``site``.
+
+    J.C.P. Miller's recurrence: with P = x**low * Q and q_0 = Q(0) != 0,
+    the coefficients of Q**n satisfy
+    k * q_0 * a_k = sum_j ((n + 1) * j - k) * q_j * a_(k-j),
+    an exact division, summed over the nonzero q_j only.
+    """
+    nonzero = [j for j, w in enumerate(site) if w]
+    if not nonzero:
+        return (0,) * (n * (len(site) - 1) + 1)
+    low, q0 = nonzero[0], site[nonzero[0]]
+    terms = [(j - low, site[j]) for j in nonzero[1:]]
+    a = [q0 ** n]
+    for k in range(1, n * (len(site) - 1 - low) + 1):
+        total = sum(((n + 1) * j - k) * q * a[k - j] for j, q in terms if j <= k)
+        a.append(total // (k * q0))
+    return (0,) * (n * low) + tuple(a)
 
 
 def mean_distribution(
@@ -135,38 +147,40 @@ def mean_distribution(
     kind: Kind,
     *,
     cap: Optional[int] = None,
-    use_cache: bool = True,
 ) -> MeanDistribution:
-    """Exact mean distribution of n-tuples, by repeated convolution.
+    """Exact mean distribution of n-tuples, as one power of the site histogram.
 
-    Intermediate results are memoised per (spectrum, kind), so asking for
-    n after n-1 costs one convolution.  ``cap`` bounds the sum grid
-    n * denom (default :data:`DEFAULT_CAP`); exceeding it raises
-    :class:`ResourceCapError` before any work is done.
+    The power comes from J.C.P. Miller's recurrence, in O(n * denom)
+    big-integer steps per nonzero atom, holding one distribution.  ``cap``
+    bounds the sum grid n * denom (default :data:`DEFAULT_CAP`); exceeding
+    it raises :class:`ResourceCapError` before any work is done.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    grid_denom = n * spec.denom
-    limit = DEFAULT_CAP if cap is None else cap
-    if grid_denom > limit:
-        raise ResourceCapError(
-            f"sum grid n*denom = {grid_denom} exceeds cap {limit}"
-        )
+    _check_cap(spec, n, cap)
+    counts = _power(_site_histogram(spec, kind), n)
+    return MeanDistribution(n=n, grid_denom=n * spec.denom, counts=counts, kind=kind)
 
+
+def mean_distributions(
+    spec: CriticalSpectrum,
+    kind: Kind,
+    n_max: int,
+    *,
+    cap: Optional[int] = None,
+) -> Iterator[MeanDistribution]:
+    """The mean distributions for n = 1 .. n_max, in order.
+
+    Each step is one convolution with the site histogram, and only the
+    current distribution is held.  The cap is checked for n_max before
+    the first distribution is built.
+    """
+    _check_cap(spec, n_max, cap)
     site = _site_histogram(spec, kind)
-    if not use_cache:
-        counts = site
-        for _ in range(n - 1):
-            counts = _convolve(counts, site)
-        return MeanDistribution(n=n, grid_denom=grid_denom, counts=counts, kind=kind)
-
-    key = (spec, kind)
-    with _chain_lock:
-        chain = _chains.setdefault(key, [site])
-        while len(chain) < n:
-            chain.append(_convolve(chain[-1], site))
-        counts = chain[n - 1]
-    return MeanDistribution(n=n, grid_denom=grid_denom, counts=counts, kind=kind)
+    counts = (1,)
+    for n in range(1, n_max + 1):
+        counts = _convolve(counts, site)
+        yield MeanDistribution(n=n, grid_denom=n * spec.denom, counts=counts, kind=kind)
 
 
 def count_window(dist: MeanDistribution, query: WindowQuery) -> int:
@@ -187,16 +201,7 @@ def count_window(dist: MeanDistribution, query: WindowQuery) -> int:
     hi = min(hi, grid)
     if hi < lo:
         return 0
-    prefix = dist._prefix
-    if prefix is None:
-        acc = [0] * (grid + 2)
-        running = 0
-        for i, a in enumerate(dist.counts):
-            running += a
-            acc[i + 1] = running
-        prefix = tuple(acc)
-        object.__setattr__(dist, "_prefix", prefix)
-    return prefix[hi + 1] - prefix[lo]
+    return sum(dist.counts[lo : hi + 1])
 
 
 def finite_rate(count: int, n: int) -> float:

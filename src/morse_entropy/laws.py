@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .counter import (
     Boundary,
@@ -26,6 +26,7 @@ from .counter import (
     count_window,
     finite_rate,
     mean_distribution,
+    mean_distributions,
 )
 from .rate import betti_curve, epsilon_curve, maxent_rate, MaxEntProblem, window_sup_rate
 from .spectrum import CriticalSpectrum, entry_multiset, validate_spectrum
@@ -85,16 +86,17 @@ def check_domination(
     """
     violations: List[Violation] = []
     checked = 0
-    for n in range(1, n_max + 1):
-        dist_c = mean_distribution(spec, n, Kind.CRITICAL, cap=cap)
-        dist_b = mean_distribution(spec, n, Kind.BETTI, cap=cap)
+    for dist_c, dist_b in zip(
+        mean_distributions(spec, Kind.CRITICAL, n_max, cap=cap),
+        mean_distributions(spec, Kind.BETTI, n_max, cap=cap),
+    ):
         for query in windows:
             checked += 1
             betti = count_window(dist_b, replace(query, boundary=Boundary.CLOSED_OPEN))
             critical = count_window(dist_c, replace(query, boundary=Boundary.CLOSED_CLOSED))
             if betti > critical:
                 violations.append(
-                    Violation(_tag(n=n, c=query.c, delta=query.delta), betti, critical)
+                    Violation(_tag(n=dist_c.n, c=query.c, delta=query.delta), betti, critical)
                 )
     return LawReport("betti_dominated_by_critical", checked, tuple(violations))
 
@@ -186,20 +188,18 @@ def check_fekete(
         )
     n_floor = math.floor(threshold) + 1  # smallest n with n > 2/delta
 
-    counts: Dict[int, int] = {}
-
-    def betti_count(n: int) -> int:
-        if n not in counts:
-            dist = mean_distribution(spec, n, Kind.BETTI, cap=cap)
-            counts[n] = count_window(dist, WindowQuery(c, delta, Boundary.CLOSED_OPEN))
-        return counts[n]
+    query = WindowQuery(c, delta, Boundary.CLOSED_OPEN)
+    counts = {
+        dist.n: count_window(dist, query)
+        for dist in mean_distributions(spec, Kind.BETTI, n_max, cap=cap)
+    }
 
     violations: List[Violation] = []
     checked = 0
 
     for n in range(n_floor, n_max + 1):
         checked += 1
-        found = betti_count(n)
+        found = counts[n]
         if found < 1:
             violations.append(
                 Violation(_tag(sub_check="unit_floor", n=n, c=c, delta=delta), found, 1)
@@ -213,7 +213,7 @@ def check_fekete(
     ][:_MAX_PAIRS]
     for a, b in pairs:
         checked += 1
-        whole, left, right = betti_count(a + b), betti_count(a), betti_count(b)
+        whole, left, right = counts[a + b], counts[a], counts[b]
         if whole < left * right:
             violations.append(
                 Violation(
@@ -231,7 +231,7 @@ def check_fekete(
         max(Fraction(0), c - delta),
         min(Fraction(1), c + delta),
     )
-    observed = finite_rate(betti_count(n_max), n_max)
+    observed = finite_rate(counts[n_max], n_max)
     tol = 3.0 * math.log(n_max * spec.denom * spec.total_betti) / n_max
     if not abs(observed - sup) <= tol:
         violations.append(

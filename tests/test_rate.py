@@ -15,7 +15,6 @@ from morse_entropy import (
     concavity_check,
     count_window,
     epsilon_curve,
-    finite_kind,
     finite_rate,
     maxent_rate,
     mean_distribution,
@@ -198,11 +197,6 @@ def test_betti_curve_skips_zero_weight_atoms():
     bet = betti_curve(spec, 11)
     for c, r in zip(bet.grid, bet.rates):
         assert r == pytest.approx(binary_entropy(float(c)), abs=1e-9)
-
-
-def test_finite_kind_tag():
-    assert finite_kind(12) == "finite:12"
-    assert finite_kind(1) == "finite:1"
 
 
 def test_concavity_check_passes_on_presets():
