@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .counter import (
     Boundary,
@@ -162,15 +162,18 @@ _MAX_PAIRS = 24
 
 def check_fekete(
     spec: CriticalSpectrum,
-    c: Fraction,
+    c: Union[Fraction, Sequence[Fraction]],
     delta: Fraction,
     n_max: int,
     *,
     cap: Optional[int] = None,
 ) -> LawReport:
-    """Convergence evidence for per-site log homology counts at a window.
+    """Convergence evidence for per-site log homology counts at windows.
 
-    Three sub-checks, tagged in the violation inputs: ``unit_floor``
+    ``c`` is one window centre, or a tuple or list of centres sharing
+    ``delta``: one sweep over n = 1..n_max serves them all, and the report
+    equals :func:`merge_reports` of the single-centre reports in order.
+    Three sub-checks per centre, tagged in the violation inputs: ``unit_floor``
     (counts are >= 1 once n exceeds 2/delta), ``superadditive_pairs``
     (log counts at fixed window superadd, as exact integer products), and
     ``rate_vs_limit`` (the per-site log count at n_max is within
@@ -178,7 +181,10 @@ def check_fekete(
     window).  Requires n_max >= ceil(2/delta) + 4 so the tail past the
     unit floor is non-trivial.
     """
-    c, delta = Fraction(c), Fraction(delta)
+    centres = tuple(map(Fraction, c)) if isinstance(c, (tuple, list)) else (Fraction(c),)
+    delta = Fraction(delta)
+    if not centres:
+        raise ValueError("need at least one window centre")
     if delta <= 0:
         raise ValueError("delta must be positive")
     threshold = Fraction(2) / delta
@@ -188,22 +194,12 @@ def check_fekete(
         )
     n_floor = math.floor(threshold) + 1  # smallest n with n > 2/delta
 
-    query = WindowQuery(c, delta, Boundary.CLOSED_OPEN)
-    counts = {
-        dist.n: count_window(dist, query)
+    queries = [WindowQuery(centre, delta, Boundary.CLOSED_OPEN) for centre in centres]
+    # columns[i][n - 1] is the count at centre i for n sites.
+    columns = zip(*(
+        [count_window(dist, query) for query in queries]
         for dist in mean_distributions(spec, Kind.BETTI, n_max, cap=cap)
-    }
-
-    violations: List[Violation] = []
-    checked = 0
-
-    for n in range(n_floor, n_max + 1):
-        checked += 1
-        found = counts[n]
-        if found < 1:
-            violations.append(
-                Violation(_tag(sub_check="unit_floor", n=n, c=c, delta=delta), found, 1)
-            )
+    ))
 
     ns = sorted(
         {n_floor + off for off in _PAIR_OFFSETS if n_floor + off <= n_max - n_floor}
@@ -211,36 +207,49 @@ def check_fekete(
     pairs = [
         (a, b) for a in ns for b in ns if a <= b and a + b <= n_max
     ][:_MAX_PAIRS]
-    for a, b in pairs:
+    entries = entry_multiset(spec)
+    tol = 3.0 * math.log(n_max * spec.denom * spec.total_betti) / n_max
+
+    violations: List[Violation] = []
+    checked = 0
+    for centre, column in zip(centres, columns):
+        counts = (None, *column)
+        for n in range(n_floor, n_max + 1):
+            checked += 1
+            found = counts[n]
+            if found < 1:
+                violations.append(
+                    Violation(_tag(sub_check="unit_floor", n=n, c=centre, delta=delta), found, 1)
+                )
+
+        for a, b in pairs:
+            checked += 1
+            whole, left, right = counts[a + b], counts[a], counts[b]
+            if whole < left * right:
+                violations.append(
+                    Violation(
+                        _tag(sub_check="superadditive_pairs", n1=a, n2=b, c=centre, delta=delta),
+                        whole,
+                        left * right,
+                    )
+                )
+
         checked += 1
-        whole, left, right = counts[a + b], counts[a], counts[b]
-        if whole < left * right:
+        sup = window_sup_rate(
+            [v for v, _ in entries],
+            [float(w) for _, w in entries],
+            max(Fraction(0), centre - delta),
+            min(Fraction(1), centre + delta),
+        )
+        observed = finite_rate(counts[n_max], n_max)
+        if not abs(observed - sup) <= tol:
             violations.append(
                 Violation(
-                    _tag(sub_check="superadditive_pairs", n1=a, n2=b, c=c, delta=delta),
-                    whole,
-                    left * right,
+                    _tag(sub_check="rate_vs_limit", n=n_max, c=centre, delta=delta, tol=tol),
+                    observed,
+                    sup,
                 )
             )
-
-    checked += 1
-    entries = entry_multiset(spec)
-    sup = window_sup_rate(
-        [v for v, _ in entries],
-        [float(w) for _, w in entries],
-        max(Fraction(0), c - delta),
-        min(Fraction(1), c + delta),
-    )
-    observed = finite_rate(counts[n_max], n_max)
-    tol = 3.0 * math.log(n_max * spec.denom * spec.total_betti) / n_max
-    if not abs(observed - sup) <= tol:
-        violations.append(
-            Violation(
-                _tag(sub_check="rate_vs_limit", n=n_max, c=c, delta=delta, tol=tol),
-                observed,
-                sup,
-            )
-        )
     return LawReport("fekete_limit", checked, tuple(violations))
 
 

@@ -48,26 +48,28 @@ class GibbsState:
 def _boltzmann(spec: CriticalSpectrum, beta: float):
     scores = [math.log(a.multiplicity) - beta * float(a.value) for a in spec.atoms]
     shift = max(scores)
-    masses = [math.exp(s - shift) for s in scores]
-    z = sum(masses)
-    return shift + math.log(z), masses, z
+    return shift, [math.exp(s - shift) for s in scores]
 
 
 def free_energy(spec: CriticalSpectrum, beta: float) -> float:
     """log of the partition sum over critical values; F(0) = log p."""
-    log_z, _, _ = _boltzmann(spec, beta)
-    return log_z
+    shift, masses = _boltzmann(spec, beta)
+    # The largest mass is exp(0) = 1 exactly; log1p of the others keeps F
+    # accurate where they sum to less than the rounding error of 1.
+    return shift + math.log1p(sum(sorted(masses)[:-1]))
 
 
 def gibbs(spec: CriticalSpectrum, beta: float) -> GibbsState:
     """Boltzmann distribution over atoms; concentrates on value 0 as beta grows."""
-    log_z, masses, z = _boltzmann(spec, beta)
-    return GibbsState(beta=float(beta), p=tuple(m / z for m in masses), free_energy=log_z)
+    _, masses = _boltzmann(spec, beta)
+    z = sum(masses)
+    p = tuple(m / z for m in masses)
+    return GibbsState(beta=float(beta), p=p, free_energy=free_energy(spec, beta))
 
 
 def _gibbs_mean(spec: CriticalSpectrum, beta: float) -> float:
-    _, masses, z = _boltzmann(spec, beta)
-    return sum(m * float(a.value) for m, a in zip(masses, spec.atoms)) / z
+    _, masses = _boltzmann(spec, beta)
+    return sum(m * float(a.value) for m, a in zip(masses, spec.atoms)) / sum(masses)
 
 
 def legendre_epsilon(spec: CriticalSpectrum, c: Union[Fraction, float]) -> float:

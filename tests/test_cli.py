@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,18 @@ from morse_entropy.cli import emit_curve, run
 from morse_entropy.rate import betti_curve, epsilon_curve
 
 LOG2 = "0.69314718056"
+
+
+def _module_run(*args, **env):
+    """Run ``python -m morse_entropy`` on this source tree in a child process."""
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "morse_entropy", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
 
 
 def test_curve_csv_small_grid(capsys):
@@ -108,6 +122,32 @@ def test_cap_environment_variable(capsys, monkeypatch):
         ["count", "--preset", "circle", "--n", "100", "--c", "1/2", "--delta", "1/4", "--cap", "200"]
     ) == 0
     capsys.readouterr()
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int-to-str digit limit"
+)
+def test_count_too_long_to_print_exits_four(capsys):
+    # torus n=8192 is admitted by the default cap; its count has 4933 digits
+    args = ["count", "--preset", "torus", "--n", "8192", "--c", "1/2", "--delta", "1/16"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run(args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "PYTHONINTMAXSTRDIGITS=0" in err
+        proc = _module_run(*args, PYTHONINTMAXSTRDIGITS="0")
+        assert proc.returncode == 0, proc.stderr
+        sys.set_int_max_str_digits(0)
+        # the sum of C(16384, s) over the closed window [7/16, 9/16] on the grid s / 16384
+        term, want = math.comb(16384, 7168), 0
+        for s in range(7168, 9217):
+            want += term
+            term = term * (16384 - s) // (s + 1)
+        assert term == math.comb(16384, 9217)
+        assert int(proc.stdout) == want
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_cap_environment_must_be_integer(capsys, monkeypatch):
@@ -222,6 +262,18 @@ def test_thermo_rows(capsys):
     assert float(mean) + float(mass) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_thermo_free_energy_is_relatively_accurate_at_large_beta(capsys):
+    # log(1 + e^-beta) is e^-beta to far below 1e-12 relative here; it
+    # read 0 while z = 1 + e^-beta rounded to 1
+    assert run(["thermo", "--preset", "circle", "--beta", "50,100,700"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    for beta, row in zip((50.0, 100.0, 700.0), rows):
+        assert float(row.split(",")[1]) == pytest.approx(math.exp(-beta), rel=1e-11)
+        assert thermo_module.free_energy(preset("circle"), beta) == pytest.approx(
+            math.exp(-beta), rel=1e-12
+        )
+
+
 def test_thermo_laplace_pass(capsys):
     assert run(["thermo", "--preset", "circle", "--beta", "10,100", "--laplace"]) == 0
     out = capsys.readouterr().out
@@ -241,10 +293,6 @@ def test_thermo_laplace_unsettled_exits_three(capsys, monkeypatch):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "morse_entropy", "spectrum", "validate", "--preset", "circle"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _module_run("spectrum", "validate", "--preset", "circle")
     assert proc.returncode == 0
     assert proc.stdout.startswith("ok atoms=2")

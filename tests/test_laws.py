@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from morse_entropy import cli, laws
 from morse_entropy import (
     Boundary,
     CriticalSpectrum,
@@ -39,6 +40,11 @@ def bypassed(*entries):
     )
     denom = math.lcm(*(a.value.denominator for a in atoms))
     return CriticalSpectrum(atoms=atoms, denom=denom)
+
+
+# extremes carry betti weight 0 (validation would refuse); every homology
+# tuple then has mean 1/2, so a window at 0 stays empty
+BROKEN = bypassed((0, 1, 0), (Fraction(1, 2), 1, 1), (1, 1, 0))
 
 
 def test_domination_on_presets():
@@ -135,15 +141,52 @@ def test_fekete_preconditions():
 
 
 def test_fekete_collects_violations_instead_of_raising():
-    # extremes carry betti weight 0 (validation would refuse); every
-    # homology tuple then has mean 1/2, so a window at 0 stays empty
-    broken = bypassed((0, 1, 0), (Fraction(1, 2), 1, 1), (1, 1, 0))
-    report = check_fekete(broken, Fraction(0), Fraction(1, 20), 45)
+    report = check_fekete(BROKEN, Fraction(0), Fraction(1, 20), 45)
     assert not report.passed
     tags = [dict(v.inputs)["sub_check"] for v in report.violations]
     assert tags.count("unit_floor") == 5
     assert tags.count("rate_vs_limit") == 1
     assert len(tags) == 6
+
+
+def _fekete_cases():
+    yield CIRCLE, (Fraction(1, 2), Fraction(1, 4)), Fraction(1, 10), 64
+    yield TORUS, (Fraction(1, 2), Fraction(1, 4)), Fraction(1, 10), 64
+    for seed in range(6):
+        rng = random.Random(seed)
+        spec = random_spectrum(rng)
+        centres = tuple(Fraction(rng.randint(0, 60), 60) for _ in range(3))
+        yield spec, centres, Fraction(rng.randint(2, 8), 40), 85
+    # centres 0 and 1/20 each fail unit_floor then rate_vs_limit, 1/2 passes:
+    # the order of violations across sub-checks and centres is compared
+    yield BROKEN, (Fraction(0), Fraction(1, 2), Fraction(1, 20)), Fraction(1, 20), 45
+
+
+def test_fekete_shared_sweep_equals_separate_calls():
+    for spec, centres, delta, n_max in _fekete_cases():
+        shared = check_fekete(spec, centres, delta, n_max)
+        separate = merge_reports(*(check_fekete(spec, c, delta, n_max) for c in centres))
+        assert shared.instances_checked == separate.instances_checked
+        assert shared.violations == separate.violations
+    assert check_fekete(CIRCLE, [Fraction(1, 2)], Fraction(1, 10), 30) == check_fekete(
+        CIRCLE, Fraction(1, 2), Fraction(1, 10), 30
+    )
+    with pytest.raises(ValueError, match="centre"):
+        check_fekete(CIRCLE, (), Fraction(1, 10), 30)
+
+
+def test_verify_runs_one_fekete_sweep(monkeypatch, capsys):
+    calls = []
+    sweep = laws.mean_distributions
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(laws, "mean_distributions", counted)
+    assert cli.run(["verify", "--preset", "torus", "--suite", "fekete"]) == 0
+    assert capsys.readouterr().out == "PASS fekete_limit instances=138 violations=0\n"
+    assert len(calls) == 1
 
 
 def test_bounds_and_max_on_presets():

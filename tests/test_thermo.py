@@ -139,6 +139,31 @@ def test_laplace_bound_tightens_with_beta():
         assert 0.0 < row.g <= 5.0 * math.log(row.beta) / row.beta
 
 
+def _log_bessel_i0(x):
+    """log I0(x) from the power series sum_k ((x/2)^k / k!)^2, all terms positive.
+
+    Terms peak near k = x/2; past k = 2x each is below 1/16 of the last,
+    so 60 more leave a tail far below double precision.
+    """
+    term, terms = 1.0, [1.0]
+    for k in range(1, int(2 * x) + 60):
+        term *= (x / (2 * k)) ** 2
+        terms.append(term)
+    return math.log(math.fsum(terms))
+
+
+def test_laplace_matches_the_exact_circle_average():
+    # the average of exp(-beta (1 - cos t) / 2) is exp(-beta/2) I0(beta/2)
+    assert _log_bessel_i0(0.0) == 0.0
+    assert math.exp(_log_bessel_i0(1.0)) == pytest.approx(1.2660658777520082, rel=1e-15)
+    betas = [0.5, 1.0, 3.0, 10.0, 31.6, 100.0, 316.0, 1000.0]
+    report = laplace_check(betas, 256)
+    assert report.passed
+    for row in report.rows:
+        exact = -(-row.beta / 2 + _log_bessel_i0(row.beta / 2)) / row.beta
+        assert row.g == pytest.approx(exact, rel=1e-8)
+
+
 def test_laplace_grid_validation():
     with pytest.raises(ValueError, match="empty"):
         laplace_check([])
