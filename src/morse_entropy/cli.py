@@ -20,9 +20,8 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .counter import (
     Boundary,
@@ -64,19 +63,6 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by every subcommand."""
-
-    command: str
-    preset: Optional[str]
-    spectrum_file: Optional[str]
-    out: Optional[str]
-    fmt: str
-    seed: int
-    cap: int
-
-
 def _fmt12(x: float) -> str:
     if math.isinf(x):
         return "-inf" if x < 0 else "inf"
@@ -96,8 +82,8 @@ def emit_curve(
     betti: Optional[Curve],
     log_p_bound: float,
     fmt: str = "csv",
-) -> bytes:
-    """Serialise curves on a shared grid; see the module docstring for the format."""
+) -> str:
+    """Serialise curves on a shared grid as text; see the module docstring for the format."""
     if epsilon is None and betti is None:
         raise ValueError("need at least one curve to emit")
     if epsilon is not None and betti is not None and epsilon.grid != betti.grid:
@@ -117,7 +103,7 @@ def emit_curve(
                     )
                 )
             )
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return "\n".join(lines) + "\n"
     if fmt == "json":
         payload = {
             "c": [_json_value(float(c)) for c in grid],
@@ -125,7 +111,7 @@ def emit_curve(
             "betti": [_json_value(r) for r in betti.rates] if betti is not None else None,
             "log_p_bound": _json_value(log_p_bound),
         }
-        return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -199,14 +185,14 @@ def _resolve_cap(flag_value: Optional[int]) -> int:
     return DEFAULT_CAP
 
 
-def _load_spectrum(config: RunConfig) -> CriticalSpectrum:
-    if config.preset is not None:
-        return preset(config.preset)
-    with open(config.spectrum_file, encoding="utf-8") as handle:
+def _load_spectrum(args) -> CriticalSpectrum:
+    if args.preset is not None:
+        return preset(args.preset)
+    with open(args.spectrum_file, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
-            raise SpectrumError("invalid_json", f"{config.spectrum_file}: {exc}") from exc
+            raise SpectrumError("invalid_json", f"{args.spectrum_file}: {exc}") from exc
     if not isinstance(data, list):
         raise SpectrumError("schema", "spectrum file must hold a list of records")
     raw = []
@@ -228,8 +214,8 @@ def _write_output(text: str, out: Optional[str]) -> None:
             handle.write(text)
 
 
-def _cmd_spectrum(config: RunConfig, args) -> int:
-    spec = _load_spectrum(config)
+def _cmd_spectrum(args) -> int:
+    spec = _load_spectrum(args)
     if args.action == "dump":
         records = [
             {
@@ -239,40 +225,33 @@ def _cmd_spectrum(config: RunConfig, args) -> int:
             }
             for a in spec.atoms
         ]
-        _write_output(json.dumps(records, indent=2) + "\n", config.out)
+        _write_output(json.dumps(records, indent=2) + "\n", args.out)
         return 0
     lines = [f"ok atoms={len(spec.atoms)} p={spec.p} B={spec.total_betti} denom={spec.denom}"]
     for a in spec.atoms:
         lines.append(f"{a.value} {a.multiplicity} {a.betti_weight}")
-    _write_output("\n".join(lines) + "\n", config.out)
+    _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _cmd_curve(config: RunConfig, args) -> int:
-    spec = _load_spectrum(config)
+def _cmd_curve(args) -> int:
+    spec = _load_spectrum(args)
     eps = epsilon_curve(spec, args.grid) if args.kind in ("both", "epsilon") else None
     bet = betti_curve(spec, args.grid) if args.kind in ("both", "betti") else None
     for curve in (eps, bet):
         if curve is not None and any(math.isnan(r) for r in curve.rates):
             raise ConvergenceError("rate solver failed to converge on the grid")
-    data = emit_curve(eps, bet, math.log(spec.p), config.fmt)
-    if config.out is None:
-        sys.stdout.write(data.decode("utf-8"))
-    else:
-        with open(config.out, "wb") as handle:
-            handle.write(data)
+    _write_output(emit_curve(eps, bet, math.log(spec.p), args.fmt), args.out)
     return 0
 
 
-def _cmd_count(config: RunConfig, args) -> int:
-    spec = _load_spectrum(config)
-    kind = Kind.CRITICAL if args.kind == "critical" else Kind.BETTI
-    if args.boundary is None:
-        boundary = Boundary.CLOSED_CLOSED if kind is Kind.CRITICAL else Boundary.CLOSED_OPEN
-    else:
-        boundary = Boundary(args.boundary)
+def _cmd_count(args) -> int:
+    cap = _resolve_cap(args.cap)
+    spec = _load_spectrum(args)
+    kind = Kind(args.kind)
+    boundary = kind.boundary if args.boundary is None else Boundary(args.boundary)
     query = WindowQuery(as_rational(args.c), as_rational(args.delta), boundary)
-    count = count_window(mean_distribution(spec, args.n, kind, cap=config.cap), query)
+    count = count_window(mean_distribution(spec, args.n, kind, cap=cap), query)
     try:
         text = str(count)
     except ValueError:  # CPython's int-to-str digit limit
@@ -284,14 +263,15 @@ def _cmd_count(config: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_verify(config: RunConfig, args) -> int:
-    spec = _load_spectrum(config)
-    rng = random.Random(config.seed)
+def _cmd_verify(args) -> int:
+    cap = _resolve_cap(args.cap)
+    spec = _load_spectrum(args)
+    rng = random.Random(args.seed)
     reports: List[LawReport] = []
 
     if args.suite in ("all", "domination"):
         reports.append(
-            check_domination(spec, args.n_max, random_windows(rng, args.windows), cap=config.cap)
+            check_domination(spec, args.n_max, random_windows(rng, args.windows), cap=cap)
         )
     if args.suite in ("all", "superadditivity"):
         parts = []
@@ -300,11 +280,11 @@ def _cmd_verify(config: RunConfig, args) -> int:
             c1 = Fraction(rng.randint(0, 60), 60)
             c2 = Fraction(rng.randint(0, 60), 60)
             delta = Fraction(rng.randint(1, 20), 40)
-            parts.append(check_superadditivity(spec, n1, n2, c1, c2, delta, cap=config.cap))
+            parts.append(check_superadditivity(spec, n1, n2, c1, c2, delta, cap=cap))
         reports.append(merge_reports(*parts))
     if args.suite in ("all", "fekete"):
         centres = (Fraction(1, 2), Fraction(1, 4))
-        reports.append(check_fekete(spec, centres, Fraction(1, 10), args.fekete_n_max, cap=config.cap))
+        reports.append(check_fekete(spec, centres, Fraction(1, 10), args.fekete_n_max, cap=cap))
     if args.suite in ("all", "bounds"):
         reports.append(check_bounds_and_max(spec, args.grid_points))
 
@@ -334,8 +314,8 @@ def _parse_betas(text: str) -> List[float]:
     return betas
 
 
-def _cmd_thermo(config: RunConfig, args) -> int:
-    spec = _load_spectrum(config)
+def _cmd_thermo(args) -> int:
+    spec = _load_spectrum(args)
     betas = _parse_betas(args.beta)
     print("beta,free_energy,gibbs_mean,mass_at_value_0")
     for beta in betas:
@@ -388,16 +368,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (None, 0) else 1
 
     try:
-        config = RunConfig(
-            command=args.command,
-            preset=getattr(args, "preset", None),
-            spectrum_file=getattr(args, "spectrum_file", None),
-            out=getattr(args, "out", None),
-            fmt=getattr(args, "fmt", "csv"),
-            seed=getattr(args, "seed", 0),
-            cap=_resolve_cap(getattr(args, "cap", None)) if hasattr(args, "cap") else DEFAULT_CAP,
-        )
-        return _DISPATCH[args.command](config, args)
+        return _DISPATCH[args.command](args)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -36,12 +36,18 @@ class Kind(enum.Enum):
     CRITICAL = "critical"   # multiplicity: every critical point
     BETTI = "betti"         # betti_weight: homologically essential ones
 
+    @property
+    def boundary(self) -> Boundary:
+        """The window convention this kind is counted with; see :class:`Boundary`."""
+        return Boundary.CLOSED_CLOSED if self is Kind.CRITICAL else Boundary.CLOSED_OPEN
+
 
 class Boundary(enum.Enum):
     """Window endpoint convention.
 
     Critical-point counts use the closed window; homology counts use the
-    half-open one, which is what keeps domination and superadditivity
+    half-open one (:attr:`Kind.boundary` holds this rule for every
+    caller), which is what keeps domination and superadditivity
     exact on rational grids.  Tests flip the flag to measure how much the
     boundary convention matters.
     """
@@ -71,9 +77,6 @@ class MeanDistribution:
     def total(self) -> int:
         """Total weighted tuple count (p**n or B**n for valid spectra)."""
         return sum(self.counts)
-
-    def mean_at(self, s: int) -> Fraction:
-        return Fraction(s, self.grid_denom)
 
 
 @dataclass(frozen=True)

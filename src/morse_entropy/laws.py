@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .counter import (
-    Boundary,
     Kind,
     MeanDistribution,
     WindowQuery,
@@ -92,8 +91,8 @@ def check_domination(
     ):
         for query in windows:
             checked += 1
-            betti = count_window(dist_b, replace(query, boundary=Boundary.CLOSED_OPEN))
-            critical = count_window(dist_c, replace(query, boundary=Boundary.CLOSED_CLOSED))
+            betti = count_window(dist_b, replace(query, boundary=Kind.BETTI.boundary))
+            critical = count_window(dist_c, replace(query, boundary=Kind.CRITICAL.boundary))
             if betti > critical:
                 violations.append(
                     Violation(_tag(n=dist_c.n, c=query.c, delta=query.delta), betti, critical)
@@ -126,22 +125,19 @@ def check_superadditivity(
     c_mix = (n1 * c1 + n2 * c2) / n
     violations: List[Violation] = []
     checked = 0
-    for kind, boundary in (
-        (Kind.BETTI, Boundary.CLOSED_OPEN),
-        (Kind.CRITICAL, Boundary.CLOSED_CLOSED),
-    ):
+    for kind in (Kind.BETTI, Kind.CRITICAL):
         checked += 1
         whole = count_window(
             mean_distribution(spec, n, kind, cap=cap),
-            WindowQuery(c_mix, delta, boundary),
+            WindowQuery(c_mix, delta, kind.boundary),
         )
         part1 = count_window(
             mean_distribution(spec, n1, kind, cap=cap),
-            WindowQuery(c1, delta, boundary),
+            WindowQuery(c1, delta, kind.boundary),
         )
         part2 = count_window(
             mean_distribution(spec, n2, kind, cap=cap),
-            WindowQuery(c2, delta, boundary),
+            WindowQuery(c2, delta, kind.boundary),
         )
         if whole < part1 * part2:
             violations.append(
@@ -194,7 +190,7 @@ def check_fekete(
         )
     n_floor = math.floor(threshold) + 1  # smallest n with n > 2/delta
 
-    queries = [WindowQuery(centre, delta, Boundary.CLOSED_OPEN) for centre in centres]
+    queries = [WindowQuery(centre, delta, Kind.BETTI.boundary) for centre in centres]
     # columns[i][n - 1] is the count at centre i for n sites.
     columns = zip(*(
         [count_window(dist, query) for query in queries]

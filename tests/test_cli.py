@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,21 @@ from morse_entropy.cli import emit_curve, run
 from morse_entropy.rate import betti_curve, epsilon_curve
 
 LOG2 = "0.69314718056"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples():
+    """(argv, stdout) of every fenced README block opening with ``$ morse-entropy``."""
+    examples = []
+    text = README.read_text(encoding="utf-8")
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        command, _, output = block.partition("\n")
+        if command.startswith("$ morse-entropy "):
+            examples.append((shlex.split(command)[2:], output))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
 
 
 def _module_run(*args, **env):
@@ -54,6 +71,17 @@ def test_curve_output_is_byte_stable(tmp_path):
     assert len(lines) == 102
     assert lines[0] == "c,epsilon,betti,log_p_bound"
     assert first.read_text().endswith("\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_curve_stdout_equals_out_file(tmp_path, capsys, fmt):
+    args = ["curve", "--preset", "torus", "--grid", "101", "--format", fmt]
+    target = tmp_path / f"curve.{fmt}"
+    assert run(args) == 0
+    printed = capsys.readouterr().out
+    assert run([*args, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode("utf-8")
 
 
 def test_curve_json_single_kind(capsys):
@@ -156,6 +184,53 @@ def test_cap_environment_must_be_integer(capsys, monkeypatch):
         ["count", "--preset", "circle", "--n", "2", "--c", "1/2", "--delta", "1/4"]
     ) == 1
     assert "MORSE_ENTROPY_CAP" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["curve", "--preset", "torus", "--grid", "11"],
+        ["thermo", "--preset", "torus", "--beta", "0,1,20"],
+        ["spectrum", "validate", "--preset", "torus"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_commands_without_cap_ignore_cap_environment(capsys, monkeypatch, args):
+    assert run(args) == 0
+    want = capsys.readouterr()
+    monkeypatch.setenv("MORSE_ENTROPY_CAP", "plenty")
+    assert run(args) == 0
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify"],
+        ["count", "--n", "2", "--c", "1/2", "--delta", "1/4"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_cap_environment_is_checked_before_the_spectrum_file(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.setenv("MORSE_ENTROPY_CAP", "plenty")
+    assert run([*args, "--spectrum-file", str(tmp_path / "missing.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: MORSE_ENTROPY_CAP must be an integer")
+
+
+def test_readme_examples_cover_every_command():
+    assert {argv[0] for argv, _ in README_EXAMPLES} == {
+        "spectrum", "curve", "count", "verify", "thermo",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, stdout", README_EXAMPLES, ids=[argv[0] for argv, _ in README_EXAMPLES]
+)
+def test_readme_example_output(capsys, argv, stdout):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == stdout
 
 
 def test_spectrum_validate(capsys):

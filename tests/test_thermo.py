@@ -164,6 +164,16 @@ def test_laplace_matches_the_exact_circle_average():
         assert row.g == pytest.approx(exact, rel=1e-8)
 
 
+def test_laplace_matches_the_large_beta_asymptotic():
+    # Z ~ (pi beta)^(-1/2) (1 + 1/(4 beta)), so g = log(pi beta) / (2 beta)
+    # up to a relative 1/(2 beta log(pi beta)): 4.0e-7 at 1e5, 3.3e-8 at 1e6
+    report = laplace_check([1e5, 1e6], 256)
+    assert report.passed
+    for row in report.rows:
+        asymptotic = math.log(math.pi * row.beta) / (2.0 * row.beta)
+        assert row.g == pytest.approx(asymptotic, rel=1e-6)
+
+
 def test_laplace_grid_validation():
     with pytest.raises(ValueError, match="empty"):
         laplace_check([])
