@@ -4,10 +4,11 @@ The exponential growth rate of window counts is the maximum of
 ``H(p) + sum_i p_i log w_i`` over probability vectors p on the atom
 values with mean pinned to the window centre.  The maximiser lies on the
 exponential family ``p_i(lam) proportional to w_i * exp(lam * v_i)``,
-whose mean increases strictly in lam, so the multiplier is found by
-bracketed bisection on the mean and the optimum value collapses to
-``log Z(lam) - lam * c``.  At lam = 0 the constraint is inactive and the
-curve peaks at ``log(sum of weights)``.
+whose mean increases strictly in lam with the family variance as its
+slope, so the multiplier is found by Newton's method on the mean,
+safeguarded by a bracket with a bisection fallback, and the optimum
+value collapses to ``log Z(lam) - lam * c``.  At lam = 0 the constraint
+is inactive and the curve peaks at ``log(sum of weights)``.
 """
 
 from __future__ import annotations
@@ -15,14 +16,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .spectrum import CriticalSpectrum, as_rational, entry_multiset
 
-#: Bisection stops once the family mean is this close to the target.
-MEAN_TOL = 1e-12
 #: Hard iteration cap; hitting it is reported, never silently truncated.
 MAX_ITERATIONS = 200
+#: Newton stops once its step in lam is this small relative to max(1, |lam|).
+_LAM_RTOL = 1e-15
+#: An open side of the Newton bracket is closed at this many times
+#: max(1, |lam|) from lam, so a step taken where the mean is nearly flat
+#: cannot run off to where every mass but one underflows.
+_STEP_GROWTH = 8.0
 
 KIND_EPSILON = "epsilon"
 KIND_BETTI = "betti"
@@ -74,13 +80,19 @@ class MaxEntSolution:
 
 
 def _family(values: Sequence[float], log_w: Sequence[float], lam: float):
-    """Mean, log Z, and shifted masses of the family at lam."""
+    """Mean, variance, log Z, and shifted masses with their sum at lam."""
     scores = [lw + lam * v for lw, v in zip(log_w, values)]
     shift = max(scores)
     masses = [math.exp(s - shift) for s in scores]
-    z = sum(masses)
-    mean = sum(m * v for m, v in zip(masses, values)) / z
-    return mean, shift + math.log(z), masses, z
+    top = scores.index(shift)
+    # The largest mass is exp(0) = 1 exactly; log1p of the others keeps
+    # log Z accurate where they sum to less than the rounding error of 1.
+    rest = sum(masses[:top]) + sum(masses[top + 1:])
+    z = 1.0 + rest
+    mean = sum(map(mul, masses, values)) / z
+    dev = [v - mean for v in values]
+    var = sum(map(mul, masses, map(mul, dev, dev))) / z
+    return mean, var, shift + math.log1p(rest), masses, z
 
 
 def _point_mass(problem: MaxEntProblem, index: int, lam: float) -> MaxEntSolution:
@@ -95,22 +107,18 @@ def _point_mass(problem: MaxEntProblem, index: int, lam: float) -> MaxEntSolutio
     )
 
 
-def _is_palindromic(problem: MaxEntProblem) -> bool:
-    values, weights = problem.values, problem.weights
-    span = values[0] + values[-1]
-    return all(
-        values[i] + values[-1 - i] == span and weights[i] == weights[-1 - i]
-        for i in range(len(values) // 2 + 1)
-    )
-
-
 def maxent_rate(problem: MaxEntProblem) -> MaxEntSolution:
     """Maximise H(p) + sum p_i log w_i subject to mean p = target.
 
-    Interior targets are solved by bisection on the family mean (bracket
-    grown geometrically first); targets at the hull edge short-circuit to
-    the exact point-mass optimum.  Targets outside [v_min, v_max] raise
-    ValueError.
+    Interior targets are solved by Newton's method on the family mean in
+    lam, starting from lam = 0 with the family variance as the slope.  The
+    signs of mean - target bracket the root; a Newton step that would leave
+    the bracket falls back to bisection, and while one side is still open
+    it is closed at a fixed multiple of max(1, |lam|) from lam, so the
+    bracket expands geometrically.  Values are measured from the hull edge
+    nearer the target, so rates close to either edge keep their relative
+    accuracy.  Targets at the hull edge short-circuit to the exact
+    point-mass optimum.  Targets outside [v_min, v_max] raise ValueError.
     """
     values = problem.values
     c = problem.target
@@ -123,55 +131,50 @@ def maxent_rate(problem: MaxEntProblem) -> MaxEntSolution:
     if c == values[-1]:
         return _point_mass(problem, len(values) - 1, float("inf"))
 
-    # Mirror-symmetric problems are solved on the lower half and reflected,
-    # so rate(c) and rate(span - c) agree bit for bit on symmetric grids.
-    span = values[0] + values[-1]
-    if _is_palindromic(problem) and 2 * c > span:
-        inner = maxent_rate(MaxEntProblem(values, problem.weights, span - c))
-        return MaxEntSolution(
-            lam=-inner.lam,
-            p=tuple(reversed(inner.p)),
-            rate=inner.rate,
-            converged=inner.converged,
-            iterations=inner.iterations,
-        )
+    # From the top edge the problem is reflected, v -> v_max - v, which
+    # negates lam and reverses p.  A mirror-symmetric problem reflects onto
+    # itself, so rate(c) and rate(span - c) agree bit for bit on symmetric
+    # grids.
+    if 2 * c > values[0] + values[-1]:
+        order = -1
+        fv = [float(values[-1] - v) for v in reversed(values)]
+        ct = float(values[-1] - c)
+    else:
+        order = 1
+        fv = [float(v - values[0]) for v in values]
+        ct = float(c - values[0])
+    log_w = [math.log(w) for w in problem.weights[::order]]
 
-    fv = [float(v) for v in values]
-    log_w = [math.log(w) for w in problem.weights]
-    ct = float(c)
-
-    lo, hi = -1.0, 1.0
-    mean_lo, _, _, _ = _family(fv, log_w, lo)
-    mean_hi, _, _, _ = _family(fv, log_w, hi)
-    for _ in range(60):
-        if mean_lo <= ct:
-            break
-        lo *= 2.0
-        mean_lo, _, _, _ = _family(fv, log_w, lo)
-    for _ in range(60):
-        if mean_hi >= ct:
-            break
-        hi *= 2.0
-        mean_hi, _, _, _ = _family(fv, log_w, hi)
-
+    lam, lo, hi = 0.0, -math.inf, math.inf
     converged = False
     iterations = 0
     while iterations < MAX_ITERATIONS:
-        lam = 0.5 * (lo + hi)
-        mean, log_z, masses, z = _family(fv, log_w, lam)
+        mean, var, log_z, masses, z = _family(fv, log_w, lam)
         iterations += 1
-        if abs(mean - ct) <= MEAN_TOL:
+        if mean == ct:
             converged = True
             break
         if mean < ct:
             lo = lam
         else:
             hi = lam
+        scale = max(1.0, abs(lam))
+        tol = _LAM_RTOL * scale
+        left = max(lo, lam - _STEP_GROWTH * scale)
+        right = min(hi, lam + _STEP_GROWTH * scale)
+        # var is 0 once every mass but one underflows; nan then falls
+        # back to the midpoint below.
+        trial = lam + (ct - mean) / var if var > 0.0 else math.nan
+        if not (left < trial < right or abs(trial - lam) <= tol):
+            trial = 0.5 * (left + right)
+        if abs(trial - lam) <= tol:
+            converged = True
+            break
+        lam = trial
 
-    p = tuple(m / z for m in masses)
     return MaxEntSolution(
-        lam=lam,
-        p=p,
+        lam=lam * order,
+        p=tuple(m / z for m in masses)[::order],
         rate=log_z - lam * mean,
         converged=converged,
         iterations=iterations,

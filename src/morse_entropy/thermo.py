@@ -24,9 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .rate import ConvergenceError, MAX_ITERATIONS, MEAN_TOL
+from .rate import ConvergenceError
 from .spectrum import CriticalSpectrum
 
+#: The Gibbs-mean bisection stops once the mean is this close to the
+#: target; kept apart from the maxent solver's stopping rule so the two
+#: routes fail independently.
+MEAN_TOL = 1e-12
+#: Iteration cap of that bisection; hitting it raises ConvergenceError.
+MAX_ITERATIONS = 200
 #: Quadrature refinement stops when doubling the grid moves Z by less
 #: than this relative amount.
 QUADRATURE_RTOL = 1e-10

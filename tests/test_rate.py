@@ -1,9 +1,12 @@
 """Maxent solver and rate curves against closed forms and a scan oracle."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from morse_entropy import (
     Curve,
@@ -19,6 +22,7 @@ from morse_entropy import (
     maxent_rate,
     mean_distribution,
     preset,
+    random_spectrum,
     window_sup_rate,
 )
 from morse_entropy import rate as rate_module
@@ -33,6 +37,12 @@ def binary_entropy(t: float) -> float:
     if t in (0.0, 1.0):
         return 0.0
     return -t * math.log(t) - (1.0 - t) * math.log(1.0 - t)
+
+
+def edge_binary_entropy(c: Fraction) -> float:
+    """Binary entropy from the nearer edge, relatively accurate for tiny c."""
+    t = float(min(c, 1 - c))
+    return -t * math.log(t) - (1.0 - t) * math.log1p(-t)
 
 
 def test_problem_validation():
@@ -84,7 +94,7 @@ def test_single_atom():
 
 
 def test_unconstrained_peak_is_exact():
-    # the very first bisection midpoint is lam = 0, which is the optimum
+    # Newton starts at lam = 0, which is the optimum
     assert maxent_rate(MaxEntProblem((Fraction(0), Fraction(1)), (1.0, 1.0), HALF)).rate == math.log(2.0)
     assert maxent_rate(
         MaxEntProblem((Fraction(0), HALF, Fraction(1)), (1.0, 2.0, 1.0), HALF)
@@ -120,6 +130,59 @@ def test_torus_rate_is_doubled_binary_entropy():
             MaxEntProblem((Fraction(0), HALF, Fraction(1)), (1.0, 2.0, 1.0), c)
         )
         assert sol.rate == pytest.approx(2.0 * binary_entropy(float(c)), abs=1e-9)
+
+
+def test_edge_targets_are_relatively_accurate():
+    # the rate at c = 1e-15 is 3.5e-14; an absolute stop on the mean loses it
+    for spec, factor in ((CIRCLE, 1.0), (TORUS, 2.0)):
+        weights = tuple(float(m) for m in spec.multiplicities())
+        for k in range(1, 16):
+            c = Fraction(1, 10**k)
+            sol = maxent_rate(MaxEntProblem(spec.values(), weights, c))
+            assert sol.converged
+            assert sol.rate == pytest.approx(factor * edge_binary_entropy(c), rel=1e-9, abs=0.0)
+            assert sol.iterations <= 50
+
+
+def test_top_edge_targets_of_asymmetric_weights_are_relatively_accurate():
+    # weights (3, 1) on (0, 1): rate = H(c) + (1 - c) log 3, tiny near c = 1
+    for k in range(1, 16):
+        c = 1 - Fraction(1, 10**k)
+        sol = maxent_rate(MaxEntProblem((Fraction(0), Fraction(1)), (3.0, 1.0), c))
+        want = edge_binary_entropy(c) + float(1 - c) * math.log(3.0)
+        assert sol.converged
+        assert sol.rate == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert sol.p[0] == pytest.approx(float(1 - c), rel=1e-9, abs=0.0)
+
+
+def test_newton_takes_few_iterations_along_a_curve(monkeypatch):
+    solve = rate_module.maxent_rate
+    counts = []
+
+    def counting(problem):
+        sol = solve(problem)
+        counts.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(rate_module, "maxent_rate", counting)
+    rate_module.epsilon_curve(TORUS, 1001)
+    assert len(counts) == 1001
+    assert sum(counts) / len(counts) <= 12
+    assert max(counts) <= 60
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    c=st.fractions(0, 1, max_denominator=10**6).filter(lambda c: 0 < c < 1),
+)
+def test_random_spectra_match_the_scan_oracle(seed, c):
+    spec = random_spectrum(random.Random(seed))
+    assume(len(spec.atoms) <= 3)  # the scan oracle handles two or three atoms
+    weights = tuple(float(m) for m in spec.multiplicities())
+    sol = maxent_rate(MaxEntProblem(spec.values(), weights, c))
+    assert sol.converged
+    assert sol.rate == pytest.approx(scan_maxent_rate(spec.values(), weights, c), abs=1e-10)
 
 
 def test_three_atom_scan_oracle():
@@ -188,6 +251,18 @@ def test_curves_on_circle_match_binary_entropy():
         assert r == pytest.approx(binary_entropy(float(c)), abs=1e-9)
     # identical weights, so the curves must agree bit for bit
     assert bet.rates == eps.rates
+
+
+def test_dense_curves_match_closed_forms_to_rounding():
+    for spec, factor in ((CIRCLE, 1.0), (TORUS, 2.0)):
+        curve = epsilon_curve(spec, 5001)
+        for c, r in zip(curve.grid, curve.rates):
+            if c in (0, 1):
+                assert r == 0.0
+                continue
+            want = factor * edge_binary_entropy(c)
+            assert abs(r - want) <= 1e-13
+            assert abs(r - want) <= 1e-11 * want
 
 
 def test_betti_curve_skips_zero_weight_atoms():
