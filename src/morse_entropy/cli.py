@@ -38,7 +38,6 @@ from .laws import (
     check_domination,
     check_fekete,
     check_superadditivity,
-    merge_reports,
     random_windows,
 )
 from .rate import ConvergenceError, Curve, betti_curve, epsilon_curve
@@ -274,14 +273,15 @@ def _cmd_verify(args) -> int:
             check_domination(spec, args.n_max, random_windows(rng, args.windows), cap=cap)
         )
     if args.suite in ("all", "superadditivity"):
-        parts = []
+        draws = ([], [], [], [], [])  # n1, n2, c1, c2, delta per draw
         for _ in range(args.instances):
             n1, n2 = rng.randint(1, 8), rng.randint(1, 8)
             c1 = Fraction(rng.randint(0, 60), 60)
             c2 = Fraction(rng.randint(0, 60), 60)
             delta = Fraction(rng.randint(1, 20), 40)
-            parts.append(check_superadditivity(spec, n1, n2, c1, c2, delta, cap=cap))
-        reports.append(merge_reports(*parts))
+            for column, value in zip(draws, (n1, n2, c1, c2, delta)):
+                column.append(value)
+        reports.append(check_superadditivity(spec, *draws, cap=cap))
     if args.suite in ("all", "fekete"):
         centres = (Fraction(1, 2), Fraction(1, 4))
         reports.append(check_fekete(spec, centres, Fraction(1, 10), args.fekete_n_max, cap=cap))

@@ -5,9 +5,11 @@ puts every achievable mean on the grid s / (n*D), s = 0 .. n*D.  The
 number of n-tuples of critical points at each grid value is an integer,
 the coefficient of x**s in the n-th power of the single-site histogram.
 One power comes straight from J.C.P. Miller's recurrence; a sweep over
-every n up to some n_max rolls one convolution per step instead.
-Counts stay Python integers throughout; the only float in this module is
-the final ``log(count) / n`` of :func:`finite_rate`.
+every n up to some n_max rolls one convolution per step instead.  Whether
+a window holds any tuple at all needs no counts: :func:`occupied_windows`
+steps the support of the n-fold sum as one bitmask.  Counts stay Python
+integers throughout; the only float in this module is the final
+``log(count) / n`` of :func:`finite_rate`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .spectrum import CriticalSpectrum, as_rational
 
@@ -186,25 +188,59 @@ def mean_distributions(
         yield MeanDistribution(n=n, grid_denom=n * spec.denom, counts=counts, kind=kind)
 
 
-def count_window(dist: MeanDistribution, query: WindowQuery) -> int:
-    """Exact number of tuples whose mean falls in the window.
+def window_range(query: WindowQuery, grid_denom: int) -> range:
+    """Grid indices s whose value s / grid_denom falls in the window.
 
-    Window edges are compared as rationals against the grid s / (n*D);
-    nothing is rounded.  An empty intersection returns 0.
+    Window edges are compared as rationals; nothing is rounded.  The
+    range is empty when the window misses the grid 0 .. grid_denom.
     """
-    grid = dist.grid_denom
-    lo = math.ceil((query.c - query.delta) * grid)
-    hi_edge = (query.c + query.delta) * grid
+    lo = max(math.ceil((query.c - query.delta) * grid_denom), 0)
+    hi_edge = (query.c + query.delta) * grid_denom
     if query.boundary is Boundary.CLOSED_CLOSED:
         hi = math.floor(hi_edge)
     else:
         # strict upper edge: largest s with s < hi_edge
         hi = math.ceil(hi_edge) - 1
-    lo = max(lo, 0)
-    hi = min(hi, grid)
-    if hi < lo:
-        return 0
-    return sum(dist.counts[lo : hi + 1])
+    return range(lo, max(lo, min(hi, grid_denom) + 1))
+
+
+def count_window(dist: MeanDistribution, query: WindowQuery) -> int:
+    """Exact number of tuples whose mean falls in the window; see :func:`window_range`."""
+    span = window_range(query, dist.grid_denom)
+    return sum(dist.counts[span.start : span.stop])
+
+
+def occupied_windows(
+    spec: CriticalSpectrum,
+    kind: Kind,
+    n_max: int,
+    queries: Sequence[WindowQuery],
+    *,
+    cap: Optional[int] = None,
+) -> List[Tuple[bool, ...]]:
+    """Whether each window holds any n-tuple, for n = 1 .. n_max.
+
+    Entry n - 1 holds, per query, ``count_window(mean_distribution(spec,
+    n, kind), query) >= 1``, exactly, without building a count.  Weights
+    are never negative (validation ensures it), so every coefficient is a
+    sum of positive products and is nonzero exactly on the support of the
+    n-fold sum of the atoms of nonzero weight.  That support is one
+    integer used as a bitmask, stepped from n - 1 to n by OR-ing its
+    shifts by the atom offsets.  The cap is checked for n_max before any
+    work.
+    """
+    _check_cap(spec, n_max, cap)
+    offsets = [s for s, w in enumerate(_site_histogram(spec, kind)) if w]
+    support = 1
+    out = []
+    for n in range(1, n_max + 1):
+        step = 0
+        for offset in offsets:
+            step |= support << offset
+        support = step
+        spans = [window_range(query, n * spec.denom) for query in queries]
+        out.append(tuple(bool(support >> s.start & ((1 << len(s)) - 1)) for s in spans))
+    return out
 
 
 def finite_rate(count: int, n: int) -> float:

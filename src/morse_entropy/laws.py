@@ -20,12 +20,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .counter import (
     Kind,
-    MeanDistribution,
     WindowQuery,
     count_window,
     finite_rate,
     mean_distribution,
     mean_distributions,
+    occupied_windows,
 )
 from .rate import betti_curve, epsilon_curve, maxent_rate, MaxEntProblem, window_sup_rate
 from .spectrum import CriticalSpectrum, entry_multiset, validate_spectrum
@@ -83,16 +83,18 @@ def check_domination(
     rests on.  The boundary conventions are imposed here; the ``boundary``
     field of the supplied windows is ignored.
     """
+    betti_queries = [replace(query, boundary=Kind.BETTI.boundary) for query in windows]
+    critical_queries = [replace(query, boundary=Kind.CRITICAL.boundary) for query in windows]
     violations: List[Violation] = []
     checked = 0
     for dist_c, dist_b in zip(
         mean_distributions(spec, Kind.CRITICAL, n_max, cap=cap),
         mean_distributions(spec, Kind.BETTI, n_max, cap=cap),
     ):
-        for query in windows:
+        for query, betti_query, critical_query in zip(windows, betti_queries, critical_queries):
             checked += 1
-            betti = count_window(dist_b, replace(query, boundary=Kind.BETTI.boundary))
-            critical = count_window(dist_c, replace(query, boundary=Kind.CRITICAL.boundary))
+            betti = count_window(dist_b, betti_query)
+            critical = count_window(dist_c, critical_query)
             if betti > critical:
                 violations.append(
                     Violation(_tag(n=dist_c.n, c=query.c, delta=query.delta), betti, critical)
@@ -102,11 +104,11 @@ def check_domination(
 
 def check_superadditivity(
     spec: CriticalSpectrum,
-    n1: int,
-    n2: int,
-    c1: Fraction,
-    c2: Fraction,
-    delta: Fraction,
+    n1: Union[int, Sequence[int]],
+    n2: Union[int, Sequence[int]],
+    c1: Union[Fraction, Sequence[Fraction]],
+    c2: Union[Fraction, Sequence[Fraction]],
+    delta: Union[Fraction, Sequence[Fraction]],
     *,
     cap: Optional[int] = None,
 ) -> LawReport:
@@ -117,37 +119,47 @@ def check_superadditivity(
     delta around the weighted blend of c1 and c2, so the count there is
     at least the product.  Checked as exact integers for the homology
     count (half-open windows) and the critical count (closed windows).
+
+    The five draw arguments are one draw, or tuples or lists of equal
+    length holding one draw per index: each distinct (n, kind)
+    distribution is built once for all of them, and the report equals
+    :func:`merge_reports` of the single-draw reports in order.
     """
-    if n1 < 1 or n2 < 1:
+    columns = [
+        tuple(x) if isinstance(x, (tuple, list)) else (x,) for x in (n1, n2, c1, c2, delta)
+    ]
+    draws = [
+        (a, b, Fraction(x), Fraction(y), Fraction(d))
+        for a, b, x, y, d in zip(*columns, strict=True)
+    ]
+    if not draws:
+        raise ValueError("need at least one draw")
+    if any(a < 1 or b < 1 for a, b, *_ in draws):
         raise ValueError("n1 and n2 must be >= 1")
-    c1, c2, delta = Fraction(c1), Fraction(c2), Fraction(delta)
-    n = n1 + n2
-    c_mix = (n1 * c1 + n2 * c2) / n
+    kinds = (Kind.BETTI, Kind.CRITICAL)
+    # Built in the order a draw-by-draw check reads them, so a cap error
+    # names the same n.
+    needed = dict.fromkeys(
+        (n, kind) for a, b, *_ in draws for kind in kinds for n in (a + b, a, b)
+    )
+    dists = {(n, kind): mean_distribution(spec, n, kind, cap=cap) for n, kind in needed}
+
     violations: List[Violation] = []
-    checked = 0
-    for kind in (Kind.BETTI, Kind.CRITICAL):
-        checked += 1
-        whole = count_window(
-            mean_distribution(spec, n, kind, cap=cap),
-            WindowQuery(c_mix, delta, kind.boundary),
-        )
-        part1 = count_window(
-            mean_distribution(spec, n1, kind, cap=cap),
-            WindowQuery(c1, delta, kind.boundary),
-        )
-        part2 = count_window(
-            mean_distribution(spec, n2, kind, cap=cap),
-            WindowQuery(c2, delta, kind.boundary),
-        )
-        if whole < part1 * part2:
-            violations.append(
-                Violation(
-                    _tag(kind=kind.value, n1=n1, n2=n2, c1=c1, c2=c2, delta=delta),
-                    whole,
-                    part1 * part2,
+    for a, b, x, y, d in draws:
+        c_mix = (a * x + b * y) / (a + b)
+        for kind in kinds:
+            whole = count_window(dists[a + b, kind], WindowQuery(c_mix, d, kind.boundary))
+            part1 = count_window(dists[a, kind], WindowQuery(x, d, kind.boundary))
+            part2 = count_window(dists[b, kind], WindowQuery(y, d, kind.boundary))
+            if whole < part1 * part2:
+                violations.append(
+                    Violation(
+                        _tag(kind=kind.value, n1=a, n2=b, c1=x, c2=y, delta=d),
+                        whole,
+                        part1 * part2,
+                    )
                 )
-            )
-    return LawReport("window_count_superadditivity", checked, tuple(violations))
+    return LawReport("window_count_superadditivity", len(draws) * len(kinds), tuple(violations))
 
 
 # Deterministic spread of pair offsets for the superadditive sampling in
@@ -167,15 +179,21 @@ def check_fekete(
     """Convergence evidence for per-site log homology counts at windows.
 
     ``c`` is one window centre, or a tuple or list of centres sharing
-    ``delta``: one sweep over n = 1..n_max serves them all, and the report
-    equals :func:`merge_reports` of the single-centre reports in order.
-    Three sub-checks per centre, tagged in the violation inputs: ``unit_floor``
-    (counts are >= 1 once n exceeds 2/delta), ``superadditive_pairs``
-    (log counts at fixed window superadd, as exact integer products), and
-    ``rate_vs_limit`` (the per-site log count at n_max is within
-    3*log(n_max * D * B) / n_max of the concave rate supremum over the
-    window).  Requires n_max >= ceil(2/delta) + 4 so the tail past the
-    unit floor is non-trivial.
+    ``delta``; the report equals :func:`merge_reports` of the
+    single-centre reports in order.  Three sub-checks per centre, tagged
+    in the violation inputs: ``unit_floor`` (counts are >= 1 once n
+    exceeds 2/delta), ``superadditive_pairs`` (log counts at fixed window
+    superadd, as exact integer products), and ``rate_vs_limit`` (the
+    per-site log count at n_max is within 3*log(n_max * D * B) / n_max of
+    the concave rate supremum over the window).  Requires
+    n_max >= ceil(2/delta) + 4 so the tail past the unit floor is
+    non-trivial.
+
+    Exact counts are built only at the n the pair and limit sub-checks
+    read, one distribution per n.  ``unit_floor`` needs to know only
+    whether a count is >= 1, which :func:`occupied_windows` answers
+    exactly for every n from the support of the sum; a violation's lhs
+    is then the count 0.  The cap is checked for n_max before any work.
     """
     centres = tuple(map(Fraction, c)) if isinstance(c, (tuple, list)) else (Fraction(c),)
     delta = Fraction(delta)
@@ -191,11 +209,8 @@ def check_fekete(
     n_floor = math.floor(threshold) + 1  # smallest n with n > 2/delta
 
     queries = [WindowQuery(centre, delta, Kind.BETTI.boundary) for centre in centres]
-    # columns[i][n - 1] is the count at centre i for n sites.
-    columns = zip(*(
-        [count_window(dist, query) for query in queries]
-        for dist in mean_distributions(spec, Kind.BETTI, n_max, cap=cap)
-    ))
+    # occupied[n - 1][i] is whether centre i's window holds any n-tuple.
+    occupied = occupied_windows(spec, Kind.BETTI, n_max, queries, cap=cap)
 
     ns = sorted(
         {n_floor + off for off in _PAIR_OFFSETS if n_floor + off <= n_max - n_floor}
@@ -203,24 +218,27 @@ def check_fekete(
     pairs = [
         (a, b) for a in ns for b in ns if a <= b and a + b <= n_max
     ][:_MAX_PAIRS]
+    # counts[n][i] is the count at centre i for n sites, at the n read below.
+    counts = {}
+    for n in sorted({n for a, b in pairs for n in (a, b, a + b)} | {n_max}):
+        dist = mean_distribution(spec, n, Kind.BETTI, cap=cap)
+        counts[n] = [count_window(dist, query) for query in queries]
     entries = entry_multiset(spec)
     tol = 3.0 * math.log(n_max * spec.denom * spec.total_betti) / n_max
 
     violations: List[Violation] = []
     checked = 0
-    for centre, column in zip(centres, columns):
-        counts = (None, *column)
+    for i, centre in enumerate(centres):
         for n in range(n_floor, n_max + 1):
             checked += 1
-            found = counts[n]
-            if found < 1:
+            if not occupied[n - 1][i]:
                 violations.append(
-                    Violation(_tag(sub_check="unit_floor", n=n, c=centre, delta=delta), found, 1)
+                    Violation(_tag(sub_check="unit_floor", n=n, c=centre, delta=delta), 0, 1)
                 )
 
         for a, b in pairs:
             checked += 1
-            whole, left, right = counts[a + b], counts[a], counts[b]
+            whole, left, right = counts[a + b][i], counts[a][i], counts[b][i]
             if whole < left * right:
                 violations.append(
                     Violation(
@@ -237,7 +255,7 @@ def check_fekete(
             max(Fraction(0), centre - delta),
             min(Fraction(1), centre + delta),
         )
-        observed = finite_rate(counts[n_max], n_max)
+        observed = finite_rate(counts[n_max][i], n_max)
         if not abs(observed - sup) <= tol:
             violations.append(
                 Violation(

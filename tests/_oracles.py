@@ -3,14 +3,28 @@
 Nothing here touches the package's convolution or bisection code:
 distributions come from enumerating weighted atom tuples, constrained
 entropy maxima from scanning the feasible slice of the probability
-simplex.  Slow on purpose, trustworthy on purpose.
+simplex.  Slow on purpose, trustworthy on purpose.  The one exception is
+:func:`full_sweep_check_fekete`, the earlier Fekete check kept as a
+reference: it reads every count from the rolling convolution sweep,
+which the package's check no longer uses.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from morse_entropy import Kind
+from morse_entropy import (
+    Kind,
+    LawReport,
+    Violation,
+    WindowQuery,
+    count_window,
+    entry_multiset,
+    finite_rate,
+    mean_distributions,
+    window_sup_rate,
+)
+from morse_entropy.laws import _MAX_PAIRS, _PAIR_OFFSETS
 
 
 def tuple_mean_counts(spec, n, kind):
@@ -87,3 +101,71 @@ def scan_maxent_rate(values, weights, c, steps=4000, refinements=3):
         span = (hi_t - lo_t) / steps
         lo_t, hi_t = max(0.0, best_t - 2 * span), min(1.0, best_t + 2 * span)
     return best_val
+
+
+def fekete_pairs(delta, n_max):
+    """The (n1, n2) pairs the ``superadditive_pairs`` sub-check samples."""
+    n_floor = math.floor(Fraction(2) / Fraction(delta)) + 1
+    ns = sorted({n_floor + off for off in _PAIR_OFFSETS if n_floor + off <= n_max - n_floor})
+    return [(a, b) for a in ns for b in ns if a <= b and a + b <= n_max][:_MAX_PAIRS]
+
+
+def full_sweep_check_fekete(spec, centres, delta, n_max, cap=None):
+    """``check_fekete`` as one sweep over every n = 1 .. n_max.
+
+    Every sub-check reads the exact count, including ``unit_floor``,
+    which the package answers from the support instead.
+    """
+    centres = tuple(map(Fraction, centres))
+    delta = Fraction(delta)
+    n_floor = math.floor(Fraction(2) / delta) + 1
+    queries = [WindowQuery(centre, delta, Kind.BETTI.boundary) for centre in centres]
+    columns = zip(*(
+        [count_window(dist, query) for query in queries]
+        for dist in mean_distributions(spec, Kind.BETTI, n_max, cap=cap)
+    ))
+    pairs = fekete_pairs(delta, n_max)
+    entries = entry_multiset(spec)
+    tol = 3.0 * math.log(n_max * spec.denom * spec.total_betti) / n_max
+
+    def tag(**kwargs):
+        return tuple((k, str(v)) for k, v in kwargs.items())
+
+    violations = []
+    checked = 0
+    for centre, column in zip(centres, columns):
+        counts = (None, *column)
+        for n in range(n_floor, n_max + 1):
+            checked += 1
+            if counts[n] < 1:
+                violations.append(
+                    Violation(tag(sub_check="unit_floor", n=n, c=centre, delta=delta), counts[n], 1)
+                )
+        for a, b in pairs:
+            checked += 1
+            whole, left, right = counts[a + b], counts[a], counts[b]
+            if whole < left * right:
+                violations.append(
+                    Violation(
+                        tag(sub_check="superadditive_pairs", n1=a, n2=b, c=centre, delta=delta),
+                        whole,
+                        left * right,
+                    )
+                )
+        checked += 1
+        sup = window_sup_rate(
+            [v for v, _ in entries],
+            [float(w) for _, w in entries],
+            max(Fraction(0), centre - delta),
+            min(Fraction(1), centre + delta),
+        )
+        observed = finite_rate(counts[n_max], n_max)
+        if not abs(observed - sup) <= tol:
+            violations.append(
+                Violation(
+                    tag(sub_check="rate_vs_limit", n=n_max, c=centre, delta=delta, tol=tol),
+                    observed,
+                    sup,
+                )
+            )
+    return LawReport("fekete_limit", checked, tuple(violations))

@@ -312,6 +312,19 @@ def test_verify_all_on_torus(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_verify_fekete_at_n_2000(capsys):
+    args = ["verify", "--preset", "torus", "--fekete-n-max", "2000", "--cap", "100000"]
+    assert run(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "PASS betti_dominated_by_critical instances=300 violations=0\n"
+        "PASS window_count_superadditivity instances=100 violations=0\n"
+        "PASS fekete_limit instances=4010 violations=0\n"
+        "PASS rate_bounds_and_peak instances=22 violations=0\n"
+    )
+    assert captured.err == ""
+
+
 def test_verify_reports_failures_with_exit_two(capsys, monkeypatch):
     failing = LawReport(
         law="rate_bounds_and_peak",

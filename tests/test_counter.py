@@ -26,8 +26,10 @@ from morse_entropy import (
     mean_distributions,
     preset,
     random_spectrum,
+    random_windows,
     validate_spectrum,
 )
+from morse_entropy.counter import occupied_windows
 from _oracles import brute_window_count, tuple_mean_counts
 
 CIRCLE = preset("circle")
@@ -239,6 +241,70 @@ def test_recurrence_sweep_and_enumeration_agree_on_zero_edge_weights():
         denom=1,
     )
     _assert_three_way(silent, Kind.BETTI, 3)
+
+
+def _probe_windows(rng):
+    """Wide and narrow windows in both conventions; narrow ones fall between grid points."""
+    queries = []
+    for query in random_windows(rng, 4):
+        queries += [query, WindowQuery(query.c, query.delta, Boundary.CLOSED_OPEN)]
+    for _ in range(6):
+        c = Fraction(rng.randint(0, 120), 120)
+        delta = Fraction(1, rng.choice((7, 60, 97, 240, 1000)))
+        queries += [WindowQuery(c, delta, boundary) for boundary in Boundary]
+    return queries
+
+
+def _assert_occupied_matches_counts(spec, seed, n_max=60):
+    """For every n <= n_max, the support says count >= 1 exactly where the count does."""
+    queries = _probe_windows(random.Random(seed))
+    for kind in Kind:
+        occupied = occupied_windows(spec, kind, n_max, queries, cap=1 << 22)
+        assert len(occupied) == n_max
+        swept = mean_distributions(spec, kind, n_max, cap=1 << 22)
+        for dist, row in zip(swept, occupied):
+            assert row == tuple(count_window(dist, query) >= 1 for query in queries), dist.n
+
+
+def test_occupied_windows_match_counts_on_presets_and_bypassed_spectra():
+    bypassed = [
+        # zero weight at both edges (the site polynomial has p_0 = 0)
+        CriticalSpectrum(
+            atoms=(
+                SpectrumAtom(Fraction(0), 1, 0),
+                SpectrumAtom(Fraction(1, 3), 2, 1),
+                SpectrumAtom(Fraction(1, 2), 3, 2),
+                SpectrumAtom(Fraction(1), 1, 0),
+            ),
+            denom=6,
+        ),
+        # zero weight in the middle: the support is every other grid point
+        CriticalSpectrum(
+            atoms=(
+                SpectrumAtom(Fraction(0), 1, 1),
+                SpectrumAtom(Fraction(1, 2), 2, 0),
+                SpectrumAtom(Fraction(1), 1, 1),
+            ),
+            denom=2,
+        ),
+        # no homology weight at all: no window is ever occupied
+        CriticalSpectrum(
+            atoms=(SpectrumAtom(Fraction(0), 1, 0), SpectrumAtom(Fraction(1), 1, 0)),
+            denom=1,
+        ),
+    ]
+    for seed, spec in enumerate((CIRCLE, TORUS, *bypassed)):
+        _assert_occupied_matches_counts(spec, seed)
+    silent = occupied_windows(bypassed[-1], Kind.BETTI, 5, _probe_windows(random.Random(0)))
+    assert not any(any(row) for row in silent)
+    with pytest.raises(ResourceCapError):
+        occupied_windows(CIRCLE, Kind.BETTI, 1 << 30, [])
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_occupied_windows_match_counts_on_random_spectra(seed):
+    _assert_occupied_matches_counts(random_spectrum(random.Random(seed)), seed)
 
 
 def test_closed_forms_at_the_default_cap():

@@ -11,6 +11,7 @@ from morse_entropy import (
     CriticalSpectrum,
     Kind,
     LawReport,
+    ResourceCapError,
     SpectrumAtom,
     Violation,
     WindowQuery,
@@ -26,6 +27,7 @@ from morse_entropy import (
     random_windows,
     validate_spectrum,
 )
+from _oracles import fekete_pairs, full_sweep_check_fekete
 
 CIRCLE = preset("circle")
 TORUS = preset("torus")
@@ -175,18 +177,122 @@ def test_fekete_shared_sweep_equals_separate_calls():
         check_fekete(CIRCLE, (), Fraction(1, 10), 30)
 
 
-def test_verify_runs_one_fekete_sweep(monkeypatch, capsys):
+def _counting(monkeypatch, name):
+    """Replace ``laws.<name>`` by a wrapper that records its positional arguments."""
     calls = []
-    sweep = laws.mean_distributions
+    original = getattr(laws, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return sweep(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(laws, "mean_distributions", counted)
+    monkeypatch.setattr(laws, name, counted)
+    return calls
+
+
+def test_fekete_matches_the_full_sweep_oracle():
+    cases = list(_fekete_cases())
+    centres = tuple(map(Fraction, ("0", "1/4", "37/100", "1/2", "2/3", "1")))
+    sizes = ((Fraction(1, 10), 64), (Fraction(1, 20), 120), (Fraction(1, 12), 200))
+    for spec in (CIRCLE, TORUS):
+        for delta, n_max in sizes:
+            cases.append((spec, centres, delta, n_max))
+    for spec, centres, delta, n_max in cases:
+        assert check_fekete(spec, centres, delta, n_max) == full_sweep_check_fekete(
+            spec, centres, delta, n_max
+        )
+
+
+def test_verify_fekete_reads_exact_counts_only_where_its_laws_do(monkeypatch, capsys):
+    sweeps = _counting(monkeypatch, "mean_distributions")
+    powers = _counting(monkeypatch, "mean_distribution")
     assert cli.run(["verify", "--preset", "torus", "--suite", "fekete"]) == 0
     assert capsys.readouterr().out == "PASS fekete_limit instances=138 violations=0\n"
+    assert sweeps == []
+    read = {n for a, b in fekete_pairs(Fraction(1, 10), 64) for n in (a, b, a + b)} | {64}
+    ns = [n for spec, n, kind in powers]
+    assert sorted(ns) == sorted(read)  # each n read, and each at most once
+    assert {kind for spec, n, kind in powers} == {Kind.BETTI}
+
+
+def test_fekete_checks_the_cap_before_building_any_distribution(monkeypatch, capsys):
+    powers = _counting(monkeypatch, "mean_distribution")
+    with pytest.raises(ResourceCapError, match="128 exceeds cap 127"):
+        check_fekete(TORUS, (Fraction(1, 2), Fraction(1, 4)), Fraction(1, 10), 64, cap=127)
+    assert powers == []
+    for suite in ("fekete", "all"):
+        assert cli.run(["verify", "--preset", "torus", "--suite", suite, "--cap", "127"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sum grid n*denom = 128 exceeds cap 127\n"
+
+
+# weight -1 at 1/2 lets a count go negative, so products can beat the whole
+SIGNED = bypassed((0, 1, 1), (Fraction(1, 2), -1, -1), (1, 1, 1))
+
+
+def _verify_draws(seed, windows=25, instances=50):
+    """The superadditivity draws of ``verify --seed SEED``, as five columns."""
+    rng = random.Random(seed)
+    random_windows(rng, windows)  # the domination suite draws first
+    draws = [
+        (
+            rng.randint(1, 8),
+            rng.randint(1, 8),
+            Fraction(rng.randint(0, 60), 60),
+            Fraction(rng.randint(0, 60), 60),
+            Fraction(rng.randint(1, 20), 40),
+        )
+        for _ in range(instances)
+    ]
+    return [list(column) for column in zip(*draws)]
+
+
+def test_batched_superadditivity_equals_single_draws(monkeypatch):
+    for seed in (0, 7, 11):
+        draws = _verify_draws(seed)
+        for spec in (TORUS, random_spectrum(random.Random(seed)), SIGNED):
+            singles = merge_reports(
+                *(check_superadditivity(spec, *draw, cap=1 << 20) for draw in zip(*draws))
+            )
+            powers = _counting(monkeypatch, "mean_distribution")
+            batched = check_superadditivity(spec, *draws, cap=1 << 20)
+            monkeypatch.undo()
+            assert batched == singles
+            keys = [(n, kind) for _, n, kind in powers]
+            assert len(keys) == len(set(keys)) <= 32
+    assert not batched.passed  # SIGNED: violation order is compared too
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    assert check_superadditivity(TORUS, [1], [1], [half], [half], [quarter]) == (
+        check_superadditivity(TORUS, 1, 1, half, half, quarter)
+    )
+    with pytest.raises(ValueError, match="draw"):
+        check_superadditivity(TORUS, [], [], [], [], [])
+    with pytest.raises(ValueError):
+        check_superadditivity(TORUS, [1, 2], [1], [half], [half], [quarter])
+    with pytest.raises(ValueError, match=">= 1"):
+        check_superadditivity(TORUS, [1, 0], [1, 1], [0, 0], [0, 0], [Fraction(1, 4)] * 2)
+
+
+def test_superadditivity_cap_error_names_the_first_n_a_draw_reads(capsys):
+    # seed 0 draws n1 = n2 = 7 first: the whole, n = 14, is read before
+    # either part, so its grid 28 is the one named
+    args = ["verify", "--preset", "torus", "--suite", "superadditivity", "--cap", "12"]
+    assert cli.run(args) == 4
+    assert capsys.readouterr().err == "error: sum grid n*denom = 28 exceeds cap 12\n"
+
+
+def test_verify_traces_one_superadditivity_call(monkeypatch, capsys):
+    calls = []
+    check = cli.check_superadditivity
+    monkeypatch.setattr(
+        cli, "check_superadditivity", lambda *a, **k: calls.append(a) or check(*a, **k)
+    )
+    assert cli.run(["verify", "--preset", "torus", "--suite", "superadditivity"]) == 0
+    out = capsys.readouterr().out
+    assert out == "PASS window_count_superadditivity instances=100 violations=0\n"
     assert len(calls) == 1
+    assert calls[0][1:] == tuple(_verify_draws(0, windows=0))
 
 
 def test_bounds_and_max_on_presets():
