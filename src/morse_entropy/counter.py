@@ -132,16 +132,22 @@ def _power(site: Tuple[int, ...], n: int) -> Tuple[int, ...]:
     J.C.P. Miller's recurrence: with P = x**low * Q and q_0 = Q(0) != 0,
     the coefficients of Q**n satisfy
     k * q_0 * a_k = sum_j ((n + 1) * j - k) * q_j * a_(k-j),
-    an exact division, summed over the nonzero q_j only.
+    an exact division, summed over the nonzero q_j only.  Each term keeps
+    (n + 1) * j * q_j, and the terms run in order of j, so the sum stops at
+    the first j > k.
     """
     nonzero = [j for j, w in enumerate(site) if w]
     if not nonzero:
         return (0,) * (n * (len(site) - 1) + 1)
     low, q0 = nonzero[0], site[nonzero[0]]
-    terms = [(j - low, site[j]) for j in nonzero[1:]]
+    terms = [(j - low, (n + 1) * (j - low) * site[j], site[j]) for j in nonzero[1:]]
     a = [q0 ** n]
     for k in range(1, n * (len(site) - 1 - low) + 1):
-        total = sum(((n + 1) * j - k) * q * a[k - j] for j, q in terms if j <= k)
+        total = 0
+        for j, nq, q in terms:
+            if j > k:
+                break
+            total += (nq - k * q) * a[k - j]
         a.append(total // (k * q0))
     return (0,) * (n * low) + tuple(a)
 

@@ -223,7 +223,7 @@ def check_fekete(
     for n in sorted({n for a, b in pairs for n in (a, b, a + b)} | {n_max}):
         dist = mean_distribution(spec, n, Kind.BETTI, cap=cap)
         counts[n] = [count_window(dist, query) for query in queries]
-    entries = entry_multiset(spec)
+    values, weights = zip(*entry_multiset(spec))
     tol = 3.0 * math.log(n_max * spec.denom * spec.total_betti) / n_max
 
     violations: List[Violation] = []
@@ -250,10 +250,7 @@ def check_fekete(
 
         checked += 1
         sup = window_sup_rate(
-            [v for v, _ in entries],
-            [float(w) for _, w in entries],
-            max(Fraction(0), centre - delta),
-            min(Fraction(1), centre + delta),
+            values, weights, max(Fraction(0), centre - delta), min(Fraction(1), centre + delta)
         )
         observed = finite_rate(counts[n_max][i], n_max)
         if not abs(observed - sup) <= tol:
@@ -297,10 +294,7 @@ def check_bounds_and_max(spec: CriticalSpectrum, grid_points: int) -> LawReport:
     entries = entry_multiset(spec)
     total_b = spec.total_betti
     c_star = sum(v * w for v, w in entries) / total_b
-    peak_problem = MaxEntProblem(
-        tuple(v for v, _ in entries), tuple(float(w) for _, w in entries), c_star
-    )
-    peak = max(max(bet.rates), maxent_rate(peak_problem).rate)
+    peak = max(max(bet.rates), maxent_rate(MaxEntProblem(*zip(*entries), c_star)).rate)
     if not peak >= math.log(total_b) - 1e-9:
         violations.append(
             Violation(_tag(bound="peak_reaches_log_homology", c=c_star), peak, math.log(total_b))

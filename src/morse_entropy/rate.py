@@ -8,7 +8,8 @@ whose mean increases strictly in lam with the family variance as its
 slope, so the multiplier is found by Newton's method on the mean,
 safeguarded by a bracket with a bisection fallback, and the optimum
 value collapses to ``log Z(lam) - lam * c``.  At lam = 0 the constraint
-is inactive and the curve peaks at ``log(sum of weights)``.
+is inactive and the curve peaks at ``log(sum of weights)``.  A curve
+validates its :class:`MaxEntProblem` family once and re-targets it per point.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .spectrum import CriticalSpectrum, as_rational, entry_multiset
 
@@ -40,7 +41,11 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class MaxEntProblem:
-    """Distinct rational values, positive weights, and a target mean."""
+    """A validated family (distinct rational values, positive weights) and a target mean.
+
+    The family keeps its values as floats measured from each hull edge, with
+    the log weights to match; :meth:`at` re-targets it without redoing either.
+    """
 
     values: Tuple[Fraction, ...]
     weights: Tuple[float, ...]
@@ -51,15 +56,24 @@ class MaxEntProblem:
         weights = tuple(float(w) for w in self.weights)
         if len(values) != len(weights) or not values:
             raise ValueError("values and weights must have equal length >= 1")
-        order = sorted(range(len(values)), key=lambda i: values[i])
-        values = tuple(values[i] for i in order)
-        weights = tuple(weights[i] for i in order)
+        values, weights = zip(*sorted(zip(values, weights), key=lambda vw: vw[0]))
         if any(values[i] == values[i + 1] for i in range(len(values) - 1)):
             raise ValueError("values must be distinct")
         if any(w <= 0 or not math.isfinite(w) for w in weights):
             raise ValueError("weights must be positive and finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
+        log_w = [math.log(w) for w in weights]
+        object.__setattr__(self, "_from_edge", {
+            1: ([float(v - values[0]) for v in values], log_w),
+            -1: ([float(values[-1] - v) for v in reversed(values)], log_w[::-1]),
+        })
+
+    def at(self, target: Union[Fraction, float]) -> "MaxEntProblem":
+        """The same family with a new target, not validated again."""
+        problem = object.__new__(MaxEntProblem)
+        problem.__dict__.update(self.__dict__, target=target)
+        return problem
 
 
 @dataclass(frozen=True)
@@ -96,15 +110,9 @@ def _family(values: Sequence[float], log_w: Sequence[float], lam: float):
 
 
 def _point_mass(problem: MaxEntProblem, index: int, lam: float) -> MaxEntSolution:
-    p = [0.0] * len(problem.values)
-    p[index] = 1.0
-    return MaxEntSolution(
-        lam=lam,
-        p=tuple(p),
-        rate=math.log(problem.weights[index]),
-        converged=True,
-        iterations=0,
-    )
+    p = tuple(float(i == index) for i in range(len(problem.values)))
+    rate = math.log(problem.weights[index])
+    return MaxEntSolution(lam=lam, p=p, rate=rate, converged=True, iterations=0)
 
 
 def maxent_rate(problem: MaxEntProblem) -> MaxEntSolution:
@@ -135,15 +143,9 @@ def maxent_rate(problem: MaxEntProblem) -> MaxEntSolution:
     # negates lam and reverses p.  A mirror-symmetric problem reflects onto
     # itself, so rate(c) and rate(span - c) agree bit for bit on symmetric
     # grids.
-    if 2 * c > values[0] + values[-1]:
-        order = -1
-        fv = [float(values[-1] - v) for v in reversed(values)]
-        ct = float(values[-1] - c)
-    else:
-        order = 1
-        fv = [float(v - values[0]) for v in values]
-        ct = float(c - values[0])
-    log_w = [math.log(w) for w in problem.weights[::order]]
+    order = -1 if 2 * c > values[0] + values[-1] else 1
+    fv, log_w = problem._from_edge[order]
+    ct = float(values[-1] - c if order < 0 else c - values[0])
 
     lam, lo, hi = 0.0, -math.inf, math.inf
     converged = False
@@ -202,9 +204,10 @@ def _curve(values, weights, grid_points: int, kind: str) -> Curve:
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     grid = tuple(Fraction(j, grid_points - 1) for j in range(grid_points))
+    family = MaxEntProblem(values, weights, grid[0])
     rates = []
     for c in grid:
-        sol = maxent_rate(MaxEntProblem(values, weights, c))
+        sol = maxent_rate(family.at(c))
         # A non-converged point is marked nan rather than trusted.
         rates.append(sol.rate if sol.converged else math.nan)
     return Curve(grid=grid, rates=tuple(rates), kind=kind)
@@ -212,18 +215,14 @@ def _curve(values, weights, grid_points: int, kind: str) -> Curve:
 
 def epsilon_curve(spec: CriticalSpectrum, grid_points: int) -> Curve:
     """Critical-point growth rate on a uniform grid over [0, 1]."""
-    return _curve(
-        spec.values(), tuple(float(m) for m in spec.multiplicities()),
-        grid_points, KIND_EPSILON,
-    )
+    return _curve(spec.values(), spec.multiplicities(), grid_points, KIND_EPSILON)
 
 
 def betti_curve(spec: CriticalSpectrum, grid_points: int) -> Curve:
     """Homology growth rate on a uniform grid over [0, 1]."""
     entries = entry_multiset(spec)
     return _curve(
-        tuple(v for v, _ in entries), tuple(float(w) for _, w in entries),
-        grid_points, KIND_BETTI,
+        tuple(v for v, _ in entries), tuple(w for _, w in entries), grid_points, KIND_BETTI
     )
 
 
@@ -260,16 +259,15 @@ def window_sup_rate(
     the window edge nearer the peak.  A window missing the hull entirely
     returns -inf.
     """
-    problem_values = tuple(as_rational(v) for v in values)
-    w = tuple(float(x) for x in weights)
-    v_min, v_max = min(problem_values), max(problem_values)
+    family = MaxEntProblem(values, weights, lo)
+    v_min, v_max = family.values[0], family.values[-1]
     win_lo = lo if lo >= v_min else v_min
     win_hi = hi if hi <= v_max else v_max
     if win_lo > win_hi:
         return float("-inf")
-    total = sum(w)
-    c_star = sum(wi * float(vi) for wi, vi in zip(w, problem_values)) / total
+    total = sum(family.weights)
+    c_star = sum(wi * float(vi) for wi, vi in zip(family.weights, family.values)) / total
     if win_lo <= c_star <= win_hi:
         return math.log(total)
     edge = win_lo if c_star < win_lo else win_hi
-    return maxent_rate(MaxEntProblem(problem_values, w, edge)).rate
+    return maxent_rate(family.at(edge)).rate

@@ -4,9 +4,10 @@ The partition sum over a spectrum's critical values, Z(beta) =
 sum_i m_i exp(-beta v_i), carries the same information as the entropy
 maximiser in :mod:`.rate` through the Legendre pairing
 ``epsilon(c) = inf_beta (log Z(beta) + beta c)``.  This module keeps its
-own bisection over the Gibbs mean, written against ``free_energy`` and
-``gibbs`` below, so agreement with the maxent solver is a genuine
-two-route check and not a function compared with itself.
+own bisection over the Gibbs mean, sharing no solver code with
+:mod:`.rate`, so agreement with the maxent solver is a genuine two-route
+check and not a function compared with itself.  A solve converts the
+atoms to floats once, not at every Gibbs-mean step.
 
 The continuum analogue is exercised on the circle with height
 ``f0(theta) = (1 - cos theta) / 2``: averaging exp(-beta f0) over the
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .rate import ConvergenceError
@@ -51,31 +53,39 @@ class GibbsState:
         return sum(pi * float(a.value) for pi, a in zip(self.p, spec.atoms))
 
 
-def _boltzmann(spec: CriticalSpectrum, beta: float):
-    scores = [math.log(a.multiplicity) - beta * float(a.value) for a in spec.atoms]
+def _atom_floats(spec: CriticalSpectrum) -> Tuple[List[float], List[float]]:
+    """Log multiplicities and float values of the atoms, in atom order."""
+    return [math.log(a.multiplicity) for a in spec.atoms], [float(a.value) for a in spec.atoms]
+
+
+def _boltzmann(log_m: List[float], fv: List[float], beta: float):
+    scores = [lm - beta * v for lm, v in zip(log_m, fv)]
     shift = max(scores)
     return shift, [math.exp(s - shift) for s in scores]
 
 
-def free_energy(spec: CriticalSpectrum, beta: float) -> float:
-    """log of the partition sum over critical values; F(0) = log p."""
-    shift, masses = _boltzmann(spec, beta)
+def _log_z(shift: float, masses: List[float]) -> float:
     # The largest mass is exp(0) = 1 exactly; log1p of the others keeps F
     # accurate where they sum to less than the rounding error of 1.
     return shift + math.log1p(sum(sorted(masses)[:-1]))
 
 
+def free_energy(spec: CriticalSpectrum, beta: float) -> float:
+    """log of the partition sum over critical values; F(0) = log p."""
+    return _log_z(*_boltzmann(*_atom_floats(spec), beta))
+
+
 def gibbs(spec: CriticalSpectrum, beta: float) -> GibbsState:
     """Boltzmann distribution over atoms; concentrates on value 0 as beta grows."""
-    _, masses = _boltzmann(spec, beta)
+    shift, masses = _boltzmann(*_atom_floats(spec), beta)
     z = sum(masses)
     p = tuple(m / z for m in masses)
-    return GibbsState(beta=float(beta), p=p, free_energy=free_energy(spec, beta))
+    return GibbsState(beta=float(beta), p=p, free_energy=_log_z(shift, masses))
 
 
-def _gibbs_mean(spec: CriticalSpectrum, beta: float) -> float:
-    _, masses = _boltzmann(spec, beta)
-    return sum(m * float(a.value) for m, a in zip(masses, spec.atoms)) / sum(masses)
+def _gibbs_mean(log_m: List[float], fv: List[float], beta: float) -> float:
+    _, masses = _boltzmann(log_m, fv, beta)
+    return sum(map(mul, masses, fv)) / sum(masses)
 
 
 def legendre_epsilon(spec: CriticalSpectrum, c: Union[Fraction, float]) -> float:
@@ -95,26 +105,27 @@ def legendre_epsilon(spec: CriticalSpectrum, c: Union[Fraction, float]) -> float
         return math.log(spec.atoms[-1].multiplicity)
 
     ct = float(c)
+    atoms = _atom_floats(spec)
     # Gibbs mean decreases in beta: expand until [lo, hi] straddles ct.
     lo, hi = -1.0, 1.0
-    mean_lo = _gibbs_mean(spec, lo)
-    mean_hi = _gibbs_mean(spec, hi)
+    mean_lo = _gibbs_mean(*atoms, lo)
+    mean_hi = _gibbs_mean(*atoms, hi)
     for _ in range(60):
         if mean_lo >= ct:
             break
         lo *= 2.0
-        mean_lo = _gibbs_mean(spec, lo)
+        mean_lo = _gibbs_mean(*atoms, lo)
     for _ in range(60):
         if mean_hi <= ct:
             break
         hi *= 2.0
-        mean_hi = _gibbs_mean(spec, hi)
+        mean_hi = _gibbs_mean(*atoms, hi)
 
     for iteration in range(MAX_ITERATIONS):
         beta = 0.5 * (lo + hi)
-        mean = _gibbs_mean(spec, beta)
+        mean = _gibbs_mean(*atoms, beta)
         if abs(mean - ct) <= MEAN_TOL:
-            return free_energy(spec, beta) + beta * ct
+            return _log_z(*_boltzmann(*atoms, beta)) + beta * ct
         if mean > ct:
             lo = beta
         else:

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output formats, exit codes, cap resolution."""
 
+import hashlib
 import json
 import math
 import os
@@ -71,6 +72,30 @@ def test_curve_output_is_byte_stable(tmp_path):
     assert len(lines) == 102
     assert lines[0] == "c,epsilon,betti,log_p_bound"
     assert first.read_text().endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["--preset", "torus", "--grid", "5001"],
+            "0863512ef924e3c9fef1e955ba47440d29b6d3f5a134976522fe752f9e54bd2a",
+        ),
+        (
+            ["--preset", "torus", "--grid", "5001", "--format", "json"],
+            "07f9d4aea29e5205c41f3fe90615c307b6f65849f227b17b795cbf346d7a376b",
+        ),
+        (
+            ["--preset", "circle", "--grid", "1001"],
+            "600f24477fbbda7d15c563221a37891bc13d7903b074633843a312f70006aa4e",
+        ),
+    ],
+)
+def test_curve_stdout_is_pinned(capsys, args, digest):
+    # curve stdout is byte-stable: a solver change that moves any printed
+    # digit changes these digests
+    assert run(["curve", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -29,7 +29,7 @@ from morse_entropy import (
     random_windows,
     validate_spectrum,
 )
-from morse_entropy.counter import occupied_windows
+from morse_entropy.counter import _convolve, _power, _site_histogram, occupied_windows
 from _oracles import brute_window_count, tuple_mean_counts
 
 CIRCLE = preset("circle")
@@ -241,6 +241,23 @@ def test_recurrence_sweep_and_enumeration_agree_on_zero_edge_weights():
         denom=1,
     )
     _assert_three_way(silent, Kind.BETTI, 3)
+
+
+def _assert_power_matches_sweep(site, n_max):
+    counts = (1,)
+    for n in range(1, n_max + 1):
+        counts = _convolve(counts, site)
+        assert _power(site, n) == counts, (site, n)
+
+
+def test_miller_power_matches_the_convolution_sweep():
+    # q0 = 3 at offset 1 and the next nonzero offset is 4, so for k < 3 the
+    # sum stops before its first term
+    _assert_power_matches_sweep((0, 3, 0, 0, 2, 0, 5, 1), 40)
+    for seed in range(6):
+        spec = random_spectrum(random.Random(seed))
+        for kind in Kind:
+            _assert_power_matches_sweep(_site_histogram(spec, kind), 40)
 
 
 def _probe_windows(rng):

@@ -23,6 +23,7 @@ from morse_entropy import (
     mean_distribution,
     preset,
     random_spectrum,
+    validate_spectrum,
     window_sup_rate,
 )
 from morse_entropy import rate as rate_module
@@ -64,6 +65,49 @@ def test_problem_sorts_values_and_weights_together():
     prob = MaxEntProblem((Fraction(1), Fraction(0), HALF), (3.0, 1.0, 2.0), HALF)
     assert prob.values == (Fraction(0), HALF, Fraction(1))
     assert prob.weights == (1.0, 2.0, 3.0)
+
+
+def _one_family_specs():
+    draws = [random_spectrum(random.Random(seed)) for seed in (3, 17, 101)]
+    zero_interior = validate_spectrum([(0, 1, 1), (Fraction(1, 3), 2, 0), (HALF, 3, 2), (1, 1, 1)])
+    return [CIRCLE, TORUS, *draws, zero_interior]
+
+
+@pytest.mark.parametrize("spec", _one_family_specs())
+def test_curves_equal_fresh_problems_at_every_point(spec):
+    critical = [(a.value, a.multiplicity) for a in spec.atoms]
+    betti = [(a.value, a.betti_weight) for a in spec.atoms if a.betti_weight > 0]
+    for curve, pairs in ((epsilon_curve(spec, 101), critical), (betti_curve(spec, 101), betti)):
+        values = tuple(v for v, _ in pairs)
+        weights = tuple(float(w) for _, w in pairs)
+        for c, r in zip(curve.grid, curve.rates):
+            assert r == maxent_rate(MaxEntProblem(values, weights, c)).rate, (curve.kind, c)
+
+
+def test_a_curve_validates_its_family_once(monkeypatch):
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return Fraction(x)
+
+    monkeypatch.setattr(rate_module, "as_rational", counting)
+    epsilon_curve(TORUS, 101)
+    assert len(calls) == len(TORUS.atoms)
+
+
+def test_retargeting_keeps_the_family_and_checks_the_target():
+    family = MaxEntProblem((Fraction(1), Fraction(0), HALF), (3.0, 1.0, 2.0), HALF)
+    moved = family.at(Fraction(1, 5))
+    assert moved.target == Fraction(1, 5) and family.target == HALF
+    assert (moved.values, moved.weights) == (family.values, family.weights)
+    for target in (Fraction(-1, 10), Fraction(11, 10)):
+        with pytest.raises(ValueError, match="hull"):
+            maxent_rate(family.at(target))
+    for target in (0, 1):
+        via_at = maxent_rate(family.at(target))
+        assert via_at == maxent_rate(MaxEntProblem(family.values, family.weights, target))
+        assert via_at.iterations == 0 and via_at.converged
 
 
 def test_target_outside_hull():

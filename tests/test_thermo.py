@@ -19,6 +19,7 @@ from morse_entropy import (
     validate_spectrum,
 )
 from morse_entropy import thermo as thermo_module
+from _oracles import per_step_legendre_epsilon
 
 CIRCLE = preset("circle")
 TORUS = preset("torus")
@@ -104,6 +105,15 @@ def test_legendre_agrees_with_the_maxent_route():
         curve = epsilon_curve(spec, 21)
         for c, rate in zip(curve.grid, curve.rates):
             assert abs(legendre_epsilon(spec, c) - rate) <= 1e-8
+
+
+def test_legendre_equals_the_per_step_conversion_bit_for_bit():
+    specs = [CIRCLE, TORUS] + [random_spectrum(random.Random(seed)) for seed in range(6)]
+    edge = [Fraction(1, 10**k) for k in range(1, 16)]
+    targets = [Fraction(j, 100) for j in range(101)] + edge + [1 - c for c in edge]
+    for spec in specs:
+        for c in targets:
+            assert legendre_epsilon(spec, c) == per_step_legendre_epsilon(spec, c), (spec, c)
 
 
 def test_legendre_reports_non_convergence(monkeypatch):
