@@ -236,7 +236,10 @@ def _cmd_spectrum(args) -> int:
 def _cmd_curve(args) -> int:
     spec = _load_spectrum(args)
     eps = epsilon_curve(spec, args.grid) if args.kind in ("both", "epsilon") else None
-    bet = betti_curve(spec, args.grid) if args.kind in ("both", "betti") else None
+    if args.kind == "both" and all(a.betti_weight == a.multiplicity for a in spec.atoms):
+        bet = eps  # a perfect Morse function: both curves solve one family
+    else:
+        bet = betti_curve(spec, args.grid) if args.kind in ("both", "betti") else None
     for curve in (eps, bet):
         if curve is not None and any(math.isnan(r) for r in curve.rates):
             raise ConvergenceError("rate solver failed to converge on the grid")

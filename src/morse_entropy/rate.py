@@ -8,8 +8,15 @@ whose mean increases strictly in lam with the family variance as its
 slope, so the multiplier is found by Newton's method on the mean,
 safeguarded by a bracket with a bisection fallback, and the optimum
 value collapses to ``log Z(lam) - lam * c``.  At lam = 0 the constraint
-is inactive and the curve peaks at ``log(sum of weights)``.  A curve
-validates its :class:`MaxEntProblem` family once and re-targets it per point.
+is inactive and the curve peaks at ``log(sum of weights)``.
+
+A curve validates its :class:`MaxEntProblem` family once and re-targets it
+per point.  The family also holds what every solve shares: its lam = 0
+evaluation, which is each target's first Newton step, and its hull ends as
+integer numerators over a common denominator, so an exact target is
+placed and measured with integer arithmetic.  A family that is its own
+mirror image about 1/2 gives rate(1 - c) = rate(c) bit for bit, so a curve
+over such a family solves only the points with c <= 1/2.
 """
 
 from __future__ import annotations
@@ -43,8 +50,11 @@ class ConvergenceError(RuntimeError):
 class MaxEntProblem:
     """A validated family (distinct rational values, positive weights) and a target mean.
 
-    The family keeps its values as floats measured from each hull edge, with
-    the log weights to match; :meth:`at` re-targets it without redoing either.
+    The family keeps, per hull edge, its values as floats measured from that
+    edge, the log weights to match and the family evaluated there at
+    lam = 0, where every Newton solve starts.  It also keeps the two hull
+    ends as integer numerators over their least common denominator.
+    :meth:`at` re-targets it without redoing any of this.
     """
 
     values: Tuple[Fraction, ...]
@@ -64,10 +74,19 @@ class MaxEntProblem:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
         log_w = [math.log(w) for w in weights]
-        object.__setattr__(self, "_from_edge", {
+        from_edge = {
             1: ([float(v - values[0]) for v in values], log_w),
             -1: ([float(values[-1] - v) for v in reversed(values)], log_w[::-1]),
+        }
+        object.__setattr__(self, "_from_edge", {
+            order: (fv, lw, _family(fv, lw, 0.0)) for order, (fv, lw) in from_edge.items()
         })
+        denom = math.lcm(values[0].denominator, values[-1].denominator)
+        object.__setattr__(self, "_hull", (
+            values[0].numerator * (denom // values[0].denominator),
+            values[-1].numerator * (denom // values[-1].denominator),
+            denom,
+        ))
 
     def at(self, target: Union[Fraction, float]) -> "MaxEntProblem":
         """The same family with a new target, not validated again."""
@@ -127,31 +146,43 @@ def maxent_rate(problem: MaxEntProblem) -> MaxEntSolution:
     nearer the target, so rates close to either edge keep their relative
     accuracy.  Targets at the hull edge short-circuit to the exact
     point-mass optimum.  Targets outside [v_min, v_max] raise ValueError.
+
+    The target is read exactly: an int or Fraction as itself, a float as
+    the binary fraction it holds (so 0.1 is a hair above 1/10).  Its
+    distance from the nearer edge is that exact difference, rounded once
+    to the nearest float.
     """
     values = problem.values
     c = problem.target
-    if not values[0] <= c <= values[-1]:
+    try:
+        num, den = c.as_integer_ratio()
+    except (ValueError, OverflowError):  # nan or an infinite float
+        num, den = 0, 0  # den = 0 puts it outside the hull below
+    # The target and both hull ends as numerators over one denominator
+    lo_num, hi_num, denom = problem._hull
+    num, lo_num, hi_num = num * denom, lo_num * den, hi_num * den
+    if not (den and lo_num <= num <= hi_num):
         raise ValueError(
             f"target {c} outside the value hull [{values[0]}, {values[-1]}]"
         )
-    if c == values[0]:
+    if num == lo_num:
         return _point_mass(problem, 0, 0.0 if len(values) == 1 else float("-inf"))
-    if c == values[-1]:
+    if num == hi_num:
         return _point_mass(problem, len(values) - 1, float("inf"))
 
     # From the top edge the problem is reflected, v -> v_max - v, which
     # negates lam and reverses p.  A mirror-symmetric problem reflects onto
     # itself, so rate(c) and rate(span - c) agree bit for bit on symmetric
     # grids.
-    order = -1 if 2 * c > values[0] + values[-1] else 1
-    fv, log_w = problem._from_edge[order]
-    ct = float(values[-1] - c if order < 0 else c - values[0])
+    order = -1 if 2 * num > lo_num + hi_num else 1
+    fv, log_w, (mean, var, log_z, masses, z) = problem._from_edge[order]
+    # int / int rounds the exact difference once, as float(Fraction) does
+    ct = (hi_num - num if order < 0 else num - lo_num) / (den * denom)
 
     lam, lo, hi = 0.0, -math.inf, math.inf
     converged = False
     iterations = 0
-    while iterations < MAX_ITERATIONS:
-        mean, var, log_z, masses, z = _family(fv, log_w, lam)
+    while True:
         iterations += 1
         if mean == ct:
             converged = True
@@ -173,6 +204,9 @@ def maxent_rate(problem: MaxEntProblem) -> MaxEntSolution:
             converged = True
             break
         lam = trial
+        if iterations == MAX_ITERATIONS:
+            break
+        mean, var, log_z, masses, z = _family(fv, log_w, lam)
 
     return MaxEntSolution(
         lam=lam * order,
@@ -201,15 +235,29 @@ class Curve:
 
 
 def _curve(values, weights, grid_points: int, kind: str) -> Curve:
+    """Rates on the grid j / (grid_points - 1), one family for every point.
+
+    Every solve re-targets the one family, so it starts from the family's
+    shared lam = 0 evaluation and places its exact grid target with
+    integer arithmetic.  A family that is its own mirror image about 1/2
+    (values v and 1 - v with equal weights) gives rate(1 - c) = rate(c)
+    bit for bit, because ``maxent_rate`` measures both targets from their
+    nearer edge, so only the points with c <= 1/2 are solved and the rest
+    are copied.
+    """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     grid = tuple(Fraction(j, grid_points - 1) for j in range(grid_points))
     family = MaxEntProblem(values, weights, grid[0])
+    vs, ws = family.values, family.weights
+    mirrored = all(v + u == 1 for v, u in zip(vs, reversed(vs))) and ws == ws[::-1]
+    solved = (grid_points + 1) // 2 if mirrored else grid_points
     rates = []
-    for c in grid:
+    for c in grid[:solved]:
         sol = maxent_rate(family.at(c))
         # A non-converged point is marked nan rather than trusted.
         rates.append(sol.rate if sol.converged else math.nan)
+    rates += [rates[grid_points - 1 - j] for j in range(solved, grid_points)]
     return Curve(grid=grid, rates=tuple(rates), kind=kind)
 
 

@@ -98,6 +98,88 @@ def test_curve_stdout_is_pinned(capsys, args, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
+# The benchmark's seed-7 spectrum: asymmetric, and not perfect (the atom at
+# 4/17 carries no homology), so neither the mirror nor the shared curve applies.
+SEED7_RECORDS = [
+    {"value": "0", "multiplicity": 2, "betti_weight": 1},
+    {"value": "7/85", "multiplicity": 3, "betti_weight": 1},
+    {"value": "4/17", "multiplicity": 2, "betti_weight": 0},
+    {"value": "3/5", "multiplicity": 4, "betti_weight": 4},
+    {"value": "84/85", "multiplicity": 3, "betti_weight": 2},
+    {"value": "1", "multiplicity": 1, "betti_weight": 1},
+]
+
+
+@pytest.fixture
+def seed7_file(tmp_path):
+    path = tmp_path / "seed7.json"
+    path.write_text(json.dumps(SEED7_RECORDS), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ([], "97550a5848b1d2bba3f9dfab1d744b39b17c0ca756df05556966d473424d3373"),
+        (["--format", "json"], "380fde0f6aa60f95f809e48090d635d3dfa9c4e768b803067a44db7ba071bf84"),
+    ],
+)
+def test_curve_stdout_is_pinned_on_an_asymmetric_imperfect_spectrum(capsys, seed7_file, args, digest):
+    assert run(["curve", "--spectrum-file", seed7_file, "--grid", "2001", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("both", "7b97bd0aca34a5e43e458efd9c0dcca902c930f9befe5d3ab0c566a529f561dc"),
+        ("epsilon", "7ce7ff36baca9761ccfcd53faf94f3bebafd94b2892742d36c0e1b9e36099a12"),
+        ("betti", "c32933224032acf58fc2904ccd20f808a5305f0a54577df9236406f95f8878da"),
+    ],
+)
+def test_curve_kinds_on_a_perfect_spectrum_are_pinned(capsys, kind, digest):
+    assert run(["curve", "--preset", "torus", "--grid", "1001", "--kind", kind]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def _count_betti_curves(monkeypatch):
+    calls = []
+
+    def counting(spec, grid_points):
+        calls.append(grid_points)
+        return betti_curve(spec, grid_points)
+
+    monkeypatch.setattr(cli_module, "betti_curve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["circle", "sphere", "torus"])
+def test_curve_both_solves_one_curve_for_a_perfect_morse_function(capsys, monkeypatch, name):
+    calls = _count_betti_curves(monkeypatch)
+    assert run(["curve", "--preset", name, "--grid", "101"]) == 0
+    assert calls == []
+    spec = preset(name)
+    separate = emit_curve(epsilon_curve(spec, 101), betti_curve(spec, 101), math.log(spec.p))
+    assert capsys.readouterr().out == separate
+
+
+# Every atom carries homology, but the middle one less than its multiplicity
+HEAVY_MIDDLE_RECORDS = [
+    {"value": "0", "multiplicity": 1, "betti_weight": 1},
+    {"value": "1/2", "multiplicity": 3, "betti_weight": 1},
+    {"value": "1", "multiplicity": 1, "betti_weight": 1},
+]
+
+
+@pytest.mark.parametrize("records", [SEED7_RECORDS, HEAVY_MIDDLE_RECORDS], ids=["seed7", "heavy_middle"])
+def test_curve_both_solves_the_betti_curve_of_an_imperfect_function(tmp_path, capsys, monkeypatch, records):
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps(records), encoding="utf-8")
+    calls = _count_betti_curves(monkeypatch)
+    assert run(["curve", "--spectrum-file", str(path), "--grid", "101"]) == 0
+    assert calls == [101]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_curve_stdout_equals_out_file(tmp_path, capsys, fmt):
     args = ["curve", "--preset", "torus", "--grid", "101", "--format", fmt]

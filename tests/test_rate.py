@@ -199,7 +199,7 @@ def test_top_edge_targets_of_asymmetric_weights_are_relatively_accurate():
         assert sol.p[0] == pytest.approx(float(1 - c), rel=1e-9, abs=0.0)
 
 
-def test_newton_takes_few_iterations_along_a_curve(monkeypatch):
+def _counting_solves(monkeypatch):
     solve = rate_module.maxent_rate
     counts = []
 
@@ -209,10 +209,29 @@ def test_newton_takes_few_iterations_along_a_curve(monkeypatch):
         return sol
 
     monkeypatch.setattr(rate_module, "maxent_rate", counting)
+    return counts
+
+
+def test_newton_takes_few_iterations_along_a_curve(monkeypatch):
+    counts = _counting_solves(monkeypatch)
     rate_module.epsilon_curve(TORUS, 1001)
-    assert len(counts) == 1001
+    # the torus is its own mirror image: points with c > 1/2 are copied
+    assert len(counts) == 501
     assert sum(counts) / len(counts) <= 12
     assert max(counts) <= 60
+
+
+DRAW_5 = random_spectrum(random.Random(5))
+
+
+@pytest.mark.parametrize(
+    "values, weights",
+    [((Fraction(0), Fraction(1)), (3.0, 1.0)), (DRAW_5.values(), DRAW_5.multiplicities())],
+)
+def test_asymmetric_families_solve_every_grid_point(monkeypatch, values, weights):
+    counts = _counting_solves(monkeypatch)
+    rate_module._curve(values, weights, 1001, "epsilon")
+    assert len(counts) == 1001
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,6 +285,95 @@ def test_symmetric_spectra_give_bit_exact_mirror_curves():
         eps = epsilon_curve(spec, 101)
         for j in range(101):
             assert eps.rates[j] == eps.rates[100 - j]
+
+
+# A symmetric spectrum whose end atoms carry weight 3, not 1
+HEAVY_ENDS = validate_spectrum(
+    [(0, 3, 2), (Fraction(1, 4), 2, 1), (Fraction(3, 4), 2, 1), (1, 3, 2)]
+)
+
+
+@pytest.mark.parametrize("grid_points", [2, 3, 4, 101, 1000])
+@pytest.mark.parametrize("spec", [CIRCLE, TORUS, HEAVY_ENDS], ids=["circle", "torus", "heavy_ends"])
+def test_mirrored_curves_equal_fresh_solves(monkeypatch, spec, grid_points):
+    counts = _counting_solves(monkeypatch)
+    weights = tuple(float(m) for m in spec.multiplicities())
+    curve = rate_module.epsilon_curve(spec, grid_points)
+    assert len(counts) == (grid_points + 1) // 2
+    monkeypatch.undo()
+    for c, r in zip(curve.grid, curve.rates):
+        assert r == maxent_rate(MaxEntProblem(spec.values(), weights, c)).rate, c
+
+
+@pytest.mark.parametrize("grid_points", [2, 3, 4, 101, 1000])
+def test_symmetric_values_with_asymmetric_weights_are_not_mirrored(monkeypatch, grid_points):
+    values, weights = (Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1)), (2.0, 1.0, 3.0, 2.0)
+    counts = _counting_solves(monkeypatch)
+    curve = rate_module._curve(values, weights, grid_points, "epsilon")
+    assert len(counts) == grid_points
+    monkeypatch.undo()
+    for c, r in zip(curve.grid, curve.rates):
+        assert r == maxent_rate(MaxEntProblem(values, weights, c)).rate, c
+    if grid_points >= 4:
+        assert curve.rates[1] != curve.rates[-2]
+
+
+NON_DYADIC = MaxEntProblem((Fraction(1, 3), HALF, Fraction(2, 3)), (1.0, 2.0, 3.0), HALF)
+# Non-dyadic ends around the integer targets 0 and 1
+SPANNING = MaxEntProblem((Fraction(-1, 3), HALF, Fraction(4, 3)), (1.0, 2.0, 3.0), HALF)
+
+
+def test_targets_at_non_dyadic_ends_are_point_masses():
+    for target, index, lam in ((Fraction(1, 3), 0, -math.inf), (Fraction(2, 3), 2, math.inf)):
+        p = tuple(float(i == index) for i in range(3))
+        rate = math.log(NON_DYADIC.weights[index])
+        want = MaxEntSolution(lam=lam, p=p, rate=rate, converged=True, iterations=0)
+        assert maxent_rate(NON_DYADIC.at(target)) == want
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        Fraction(1, 3) - Fraction(1, 10**30),
+        Fraction(2, 3) + Fraction(1, 10**30),
+        0,
+        1,
+        1 / 3,  # the nearest float to 1/3 lies below it
+        math.nextafter(2 / 3, 1.0),
+        math.nan,
+        math.inf,
+        -math.inf,
+    ],
+)
+def test_targets_a_hair_outside_non_dyadic_ends_raise(target):
+    with pytest.raises(ValueError, match="hull"):
+        maxent_rate(NON_DYADIC.at(target))
+
+
+# Rates at exact targets, as the solver gave them when it placed the
+# target with Fraction arithmetic; the integer path must reproduce them.
+@pytest.mark.parametrize(
+    "family, target, rate_hex",
+    [
+        (NON_DYADIC, Fraction(2, 5), "0x1.0fda62c16243ap+0"),
+        (NON_DYADIC, HALF, "0x1.b2bd37807ad8dp+0"),
+        (NON_DYADIC, Fraction(3, 5), "0x1.b8999427df2d9p+0"),
+        (NON_DYADIC, Fraction(1, 3) + Fraction(1, 10**12), "0x1.6b4435a86e526p-33"),
+        (NON_DYADIC, Fraction(2, 3) - Fraction(1, 10**12), "0x1.193ea7ab7e937p+0"),
+        (SPANNING, 0, "0x1.0fda62c162438p+0"),
+        (SPANNING, 1, "0x1.b8999427df2dap+0"),
+    ],
+)
+def test_exact_interior_targets_keep_their_rates(family, target, rate_hex):
+    assert maxent_rate(family.at(target)).rate == float.fromhex(rate_hex)
+    assert maxent_rate(family.at(Fraction(target))).rate == float.fromhex(rate_hex)
+
+
+@pytest.mark.parametrize("target", [0.35, 0.4, 0.5, 0.6, 0.65, math.nextafter(1 / 3, 1.0), 2 / 3])
+def test_float_targets_are_read_as_the_binary_fraction_they_hold(target):
+    sol = maxent_rate(NON_DYADIC.at(target))
+    assert sol.converged
+    assert sol == maxent_rate(NON_DYADIC.at(Fraction(target)))
 
 
 def test_mirror_solution_reflects_masses():
