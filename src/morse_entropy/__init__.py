@@ -22,6 +22,7 @@ from .counter import (
     finite_rate,
     mean_distribution,
     mean_distributions,
+    window_counts,
 )
 from .laws import (
     LawReport,
@@ -112,5 +113,6 @@ __all__ = [
     "random_spectrum",
     "random_windows",
     "validate_spectrum",
+    "window_counts",
     "window_sup_rate",
 ]

@@ -21,6 +21,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import repeat
 from typing import List, Optional, Sequence
 
 from .counter import (
@@ -29,8 +30,7 @@ from .counter import (
     Kind,
     ResourceCapError,
     WindowQuery,
-    count_window,
-    mean_distribution,
+    window_counts,
 )
 from .laws import (
     LawReport,
@@ -90,24 +90,27 @@ def emit_curve(
     grid = (epsilon if epsilon is not None else betti).grid
 
     if fmt == "csv":
+        if betti is epsilon:  # one curve in both columns: format each rate once
+            rates = (f"{r},{r}" for r in map(_fmt12, epsilon.rates))
+        else:
+            eps = map(_fmt12, epsilon.rates) if epsilon is not None else repeat("")
+            bet = map(_fmt12, betti.rates) if betti is not None else repeat("")
+            rates = (f"{e},{b}" for e, b in zip(eps, bet))
+        bound = _fmt12(log_p_bound)
         lines = ["c,epsilon,betti,log_p_bound"]
-        for i, c in enumerate(grid):
-            lines.append(
-                ",".join(
-                    (
-                        _fmt12(float(c)),
-                        _fmt12(epsilon.rates[i]) if epsilon is not None else "",
-                        _fmt12(betti.rates[i]) if betti is not None else "",
-                        _fmt12(log_p_bound),
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
+        lines += [f"{_fmt12(float(c))},{pair},{bound}" for c, pair in zip(grid, rates)]
+        lines.append("")  # the final newline, without copying the joined text
+        return "\n".join(lines)
     if fmt == "json":
+        eps = [_json_value(r) for r in epsilon.rates] if epsilon is not None else None
+        if betti is epsilon:
+            bet = eps
+        else:
+            bet = [_json_value(r) for r in betti.rates] if betti is not None else None
         payload = {
             "c": [_json_value(float(c)) for c in grid],
-            "epsilon": [_json_value(r) for r in epsilon.rates] if epsilon is not None else None,
-            "betti": [_json_value(r) for r in betti.rates] if betti is not None else None,
+            "epsilon": eps,
+            "betti": bet,
             "log_p_bound": _json_value(log_p_bound),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -253,7 +256,7 @@ def _cmd_count(args) -> int:
     kind = Kind(args.kind)
     boundary = kind.boundary if args.boundary is None else Boundary(args.boundary)
     query = WindowQuery(as_rational(args.c), as_rational(args.delta), boundary)
-    count = count_window(mean_distribution(spec, args.n, kind, cap=cap), query)
+    (count,) = window_counts(spec, args.n, kind, [query], cap=cap)
     try:
         text = str(count)
     except ValueError:  # CPython's int-to-str digit limit

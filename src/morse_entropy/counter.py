@@ -4,19 +4,25 @@ Averaging n independent copies of a spectrum with common denominator D
 puts every achievable mean on the grid s / (n*D), s = 0 .. n*D.  The
 number of n-tuples of critical points at each grid value is an integer,
 the coefficient of x**s in the n-th power of the single-site histogram.
-One power comes straight from J.C.P. Miller's recurrence; a sweep over
-every n up to some n_max rolls one convolution per step instead.  Whether
-a window holds any tuple at all needs no counts: :func:`occupied_windows`
-steps the support of the n-fold sum as one bitmask.  Counts stay Python
-integers throughout; the only float in this module is the final
-``log(count) / n`` of :func:`finite_rate`.
+One power comes from J.C.P. Miller's recurrence, in which a coefficient
+needs only the D or fewer before it.  So :func:`window_counts` streams
+the recurrence from the grid end nearer its windows, stops at the
+farthest window edge and holds O(D) coefficients plus one prefix sum per
+window edge, never the n*D + 1 of the whole grid;
+:func:`mean_distribution` runs the same recurrence to the end and keeps
+every coefficient.  A sweep over every n up to some n_max rolls one
+convolution per step instead.  Whether a window holds any tuple at all
+needs no counts: :func:`occupied_windows` steps the support of the
+n-fold sum as one bitmask.  Counts stay Python integers throughout; the
+only float in this module is the final ``log(count) / n`` of
+:func:`finite_rate`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
@@ -26,6 +32,9 @@ from .spectrum import CriticalSpectrum, as_rational
 
 #: Largest sum grid (n * denom) built without an explicit override.
 DEFAULT_CAP = 16384
+
+# Recurrence steps between trims of the coefficients :func:`window_counts` holds.
+_TRIM = 256
 
 
 class ResourceCapError(RuntimeError):
@@ -88,14 +97,25 @@ class WindowQuery:
     c: Fraction
     delta: Fraction
     boundary: Boundary = Boundary.CLOSED_CLOSED
+    # the edges c - delta and c + delta as integer numerators over _den
+    _lo: int = field(init=False, repr=False, compare=False)
+    _hi: int = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", as_rational(self.c))
-        object.__setattr__(self, "delta", as_rational(self.delta))
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not (self.c - self.delta < 1 and self.c + self.delta > 0):
-            raise ValueError(f"window around {self.c} +- {self.delta} misses [0, 1]")
+        c, delta = as_rational(self.c), as_rational(self.delta)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "delta", delta)
+        den = math.lcm(c.denominator, delta.denominator)
+        centre = c.numerator * (den // c.denominator)
+        half = delta.numerator * (den // delta.denominator)
+        if half <= 0:
+            raise ValueError(f"delta must be positive, got {delta}")
+        if not (centre - half < den and centre + half > 0):
+            raise ValueError(f"window around {c} +- {delta} misses [0, 1]")
+        object.__setattr__(self, "_lo", centre - half)
+        object.__setattr__(self, "_hi", centre + half)
+        object.__setattr__(self, "_den", den)
 
 
 def _check_cap(spec: CriticalSpectrum, n: int, cap: Optional[int]) -> None:
@@ -126,30 +146,53 @@ def _convolve(counts: Tuple[int, ...], site: Tuple[int, ...]) -> Tuple[int, ...]
     return tuple(out)
 
 
-def _power(site: Tuple[int, ...], n: int) -> Tuple[int, ...]:
+def _miller(site: Tuple[int, ...], n: int, cuts: Optional[List[int]] = None):
     """Coefficients of P(x)**n, P given by its coefficients ``site``.
 
-    J.C.P. Miller's recurrence: with P = x**low * Q and q_0 = Q(0) != 0,
-    the coefficients of Q**n satisfy
+    J.C.P. Miller's recurrence: with P = x**low * Q, q_0 = Q(0) != 0 and e
+    the degree of Q, the coefficients of Q**n satisfy
     k * q_0 * a_k = sum_j ((n + 1) * j - k) * q_j * a_(k-j),
-    an exact division, summed over the nonzero q_j only.  Each term keeps
-    (n + 1) * j * q_j, and the terms run in order of j, so the sum stops at
-    the first j > k.
+    an exact division, summed over the nonzero q_j only, so a_k reads only
+    the e coefficients before it.  Each term keeps (n + 1) * j * q_j, and
+    ``a`` starts with e zeros, which stand for the a_(k-j) with j > k.
+
+    Without ``cuts`` this returns every coefficient of P**n.  With
+    ``cuts``, ascending grid indices, it returns the sum of the
+    coefficients below each cut: the recurrence stops at the last cut and
+    every :data:`_TRIM` steps drops all but the last e coefficients,
+    adding them to a running sum first.
     """
+    size = n * (len(site) - 1) + 1
     nonzero = [j for j, w in enumerate(site) if w]
     if not nonzero:
-        return (0,) * (n * (len(site) - 1) + 1)
+        return (0,) * size if cuts is None else [0] * len(cuts)
     low, q0 = nonzero[0], site[nonzero[0]]
-    terms = [(j - low, (n + 1) * (j - low) * site[j], site[j]) for j in nonzero[1:]]
-    a = [q0 ** n]
-    for k in range(1, n * (len(site) - 1 - low) + 1):
-        total = 0
-        for j, nq, q in terms:
-            if j > k:
-                break
-            total += (nq - k * q) * a[k - j]
-        a.append(total // (k * q0))
-    return (0,) * (n * low) + tuple(a)
+    span = nonzero[-1] - low
+    terms = [(low - j, (n + 1) * (j - low) * site[j], site[j]) for j in nonzero[1:]]
+    last = n * span + 1  # Q**n has the coefficients a_0 .. a_(last - 1)
+    if cuts is None:
+        ends = [last]
+    else:
+        cuts = [min(max(cut - n * low, 0), last) for cut in cuts]
+        ends = sorted({*cuts, *range(_TRIM, cuts[-1], _TRIM)} - {0})
+        below = dict.fromkeys(cuts, 0)
+    a = [0] * span + [q0 ** n]
+    done, dropped = 1, 0
+    for end in ends:
+        for k in range(done, end):
+            total = 0
+            for back, nq, q in terms:
+                total += (nq - k * q) * a[back]
+            a.append(total // (k * q0))
+        done = end
+        if cuts is not None:
+            if end in below:
+                below[end] = dropped + sum(a)
+            dropped += sum(a[: len(a) - span])
+            del a[: len(a) - span]
+    if cuts is not None:
+        return [below[cut] for cut in cuts]
+    return (0,) * (n * low) + tuple(a[span:]) + (0,) * (size - n * low - last)
 
 
 def mean_distribution(
@@ -164,13 +207,49 @@ def mean_distribution(
     The power comes from J.C.P. Miller's recurrence, in O(n * denom)
     big-integer steps per nonzero atom, holding one distribution.  ``cap``
     bounds the sum grid n * denom (default :data:`DEFAULT_CAP`); exceeding
-    it raises :class:`ResourceCapError` before any work is done.
+    it raises :class:`ResourceCapError` before any work is done.  To count
+    windows, :func:`window_counts` holds far less.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_cap(spec, n, cap)
-    counts = _power(_site_histogram(spec, kind), n)
+    counts = _miller(_site_histogram(spec, kind), n)
     return MeanDistribution(n=n, grid_denom=n * spec.denom, counts=counts, kind=kind)
+
+
+def window_counts(
+    spec: CriticalSpectrum,
+    n: int,
+    kind: Kind,
+    queries: Sequence[WindowQuery],
+    *,
+    cap: Optional[int] = None,
+) -> Tuple[int, ...]:
+    """Exact count of n-tuples in each window, without building the distribution.
+
+    Equals ``tuple(count_window(mean_distribution(spec, n, kind, cap=cap),
+    q) for q in queries)``.  Miller's recurrence runs from the grid end
+    nearer the windows (from the top on the reversed site, whose n-th
+    power holds the coefficients in reverse order), stops at the farthest
+    window edge, and holds at most denom + 256 coefficients plus one
+    prefix sum per window edge.  The cap is checked as in
+    :func:`mean_distribution`, before any work.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    _check_cap(spec, n, cap)
+    site = _site_histogram(spec, kind)
+    grid = n * spec.denom
+    spans = [window_range(query, grid) for query in queries]
+    cuts = sorted({edge for span in spans if span for edge in (span.start, span.stop)})
+    if not cuts:
+        return (0,) * len(spans)
+    if cuts[-1] > grid + 1 - cuts[0]:  # the top end is nearer: count s from it
+        site = site[::-1]
+        spans = [range(grid + 1 - span.stop, grid + 1 - span.start) for span in spans]
+        cuts = [grid + 1 - cut for cut in reversed(cuts)]
+    below = dict(zip(cuts, _miller(site, n, cuts)))
+    return tuple(below[span.stop] - below[span.start] if span else 0 for span in spans)
 
 
 def mean_distributions(
@@ -197,16 +276,16 @@ def mean_distributions(
 def window_range(query: WindowQuery, grid_denom: int) -> range:
     """Grid indices s whose value s / grid_denom falls in the window.
 
-    Window edges are compared as rationals; nothing is rounded.  The
-    range is empty when the window misses the grid 0 .. grid_denom.
+    Window edges are compared exactly, as integer numerators over one
+    denominator; nothing is rounded.  The range is empty when the window
+    misses the grid 0 .. grid_denom.
     """
-    lo = max(math.ceil((query.c - query.delta) * grid_denom), 0)
-    hi_edge = (query.c + query.delta) * grid_denom
+    lo = max(-(-query._lo * grid_denom // query._den), 0)  # ceil
     if query.boundary is Boundary.CLOSED_CLOSED:
-        hi = math.floor(hi_edge)
+        hi = query._hi * grid_denom // query._den
     else:
-        # strict upper edge: largest s with s < hi_edge
-        hi = math.ceil(hi_edge) - 1
+        # strict upper edge: largest s with s * _den < _hi * grid_denom
+        hi = (query._hi * grid_denom - 1) // query._den
     return range(lo, max(lo, min(hi, grid_denom) + 1))
 
 

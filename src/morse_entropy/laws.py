@@ -16,16 +16,17 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .counter import (
     Kind,
     WindowQuery,
-    count_window,
     finite_rate,
-    mean_distribution,
     mean_distributions,
     occupied_windows,
+    window_counts,
+    window_range,
 )
 from .rate import betti_curve, epsilon_curve, maxent_rate, MaxEntProblem, window_sup_rate
 from .spectrum import CriticalSpectrum, entry_multiset, validate_spectrum
@@ -81,7 +82,9 @@ def check_domination(
     The homology side is counted half-open, the critical side closed, so
     the comparison is exactly the one the downstream rate inequality
     rests on.  The boundary conventions are imposed here; the ``boundary``
-    field of the supplied windows is ignored.
+    field of the supplied windows is ignored.  Each swept distribution is
+    summed once into prefix sums, and each window count is their
+    difference.
     """
     betti_queries = [replace(query, boundary=Kind.BETTI.boundary) for query in windows]
     critical_queries = [replace(query, boundary=Kind.CRITICAL.boundary) for query in windows]
@@ -91,10 +94,14 @@ def check_domination(
         mean_distributions(spec, Kind.CRITICAL, n_max, cap=cap),
         mean_distributions(spec, Kind.BETTI, n_max, cap=cap),
     ):
+        below_c = list(accumulate(dist_c.counts, initial=0))
+        below_b = list(accumulate(dist_b.counts, initial=0))
         for query, betti_query, critical_query in zip(windows, betti_queries, critical_queries):
             checked += 1
-            betti = count_window(dist_b, betti_query)
-            critical = count_window(dist_c, critical_query)
+            span = window_range(betti_query, dist_b.grid_denom)
+            betti = below_b[span.stop] - below_b[span.start]
+            span = window_range(critical_query, dist_c.grid_denom)
+            critical = below_c[span.stop] - below_c[span.start]
             if betti > critical:
                 violations.append(
                     Violation(_tag(n=dist_c.n, c=query.c, delta=query.delta), betti, critical)
@@ -121,9 +128,10 @@ def check_superadditivity(
     count (half-open windows) and the critical count (closed windows).
 
     The five draw arguments are one draw, or tuples or lists of equal
-    length holding one draw per index: each distinct (n, kind)
-    distribution is built once for all of them, and the report equals
-    :func:`merge_reports` of the single-draw reports in order.
+    length holding one draw per index: each distinct (n, kind) is counted
+    once, by one :func:`window_counts` call for all the windows the draws
+    read at it, and the report equals :func:`merge_reports` of the
+    single-draw reports in order.
     """
     columns = [
         tuple(x) if isinstance(x, (tuple, list)) else (x,) for x in (n1, n2, c1, c2, delta)
@@ -137,20 +145,26 @@ def check_superadditivity(
     if any(a < 1 or b < 1 for a, b, *_ in draws):
         raise ValueError("n1 and n2 must be >= 1")
     kinds = (Kind.BETTI, Kind.CRITICAL)
-    # Built in the order a draw-by-draw check reads them, so a cap error
-    # names the same n.
-    needed = dict.fromkeys(
-        (n, kind) for a, b, *_ in draws for kind in kinds for n in (a + b, a, b)
-    )
-    dists = {(n, kind): mean_distribution(spec, n, kind, cap=cap) for n, kind in needed}
+    # (n, kind) -> the windows read there, keyed in the order a draw-by-draw
+    # check reads them, so a cap error names the same n.
+    read = {}
+    for a, b, x, y, d in draws:
+        c_mix = (a * x + b * y) / (a + b)
+        for kind in kinds:
+            for n, c in ((a + b, c_mix), (a, x), (b, y)):
+                read.setdefault((n, kind), {})[WindowQuery(c, d, kind.boundary)] = None
+    counts = {
+        (n, kind): dict(zip(windows, window_counts(spec, n, kind, list(windows), cap=cap)))
+        for (n, kind), windows in read.items()
+    }
 
     violations: List[Violation] = []
     for a, b, x, y, d in draws:
         c_mix = (a * x + b * y) / (a + b)
         for kind in kinds:
-            whole = count_window(dists[a + b, kind], WindowQuery(c_mix, d, kind.boundary))
-            part1 = count_window(dists[a, kind], WindowQuery(x, d, kind.boundary))
-            part2 = count_window(dists[b, kind], WindowQuery(y, d, kind.boundary))
+            whole = counts[a + b, kind][WindowQuery(c_mix, d, kind.boundary)]
+            part1 = counts[a, kind][WindowQuery(x, d, kind.boundary)]
+            part2 = counts[b, kind][WindowQuery(y, d, kind.boundary)]
             if whole < part1 * part2:
                 violations.append(
                     Violation(
@@ -189,11 +203,11 @@ def check_fekete(
     n_max >= ceil(2/delta) + 4 so the tail past the unit floor is
     non-trivial.
 
-    Exact counts are built only at the n the pair and limit sub-checks
-    read, one distribution per n.  ``unit_floor`` needs to know only
-    whether a count is >= 1, which :func:`occupied_windows` answers
-    exactly for every n from the support of the sum; a violation's lhs
-    is then the count 0.  The cap is checked for n_max before any work.
+    Exact counts are taken only at the n the pair and limit sub-checks
+    read, by one :func:`window_counts` call per n.  ``unit_floor`` needs
+    to know only whether a count is >= 1, which :func:`occupied_windows`
+    answers exactly for every n from the support of the sum; a
+    violation's lhs is then the count 0.  The cap is checked for n_max before any work.
     """
     centres = tuple(map(Fraction, c)) if isinstance(c, (tuple, list)) else (Fraction(c),)
     delta = Fraction(delta)
@@ -219,10 +233,10 @@ def check_fekete(
         (a, b) for a in ns for b in ns if a <= b and a + b <= n_max
     ][:_MAX_PAIRS]
     # counts[n][i] is the count at centre i for n sites, at the n read below.
-    counts = {}
-    for n in sorted({n for a, b in pairs for n in (a, b, a + b)} | {n_max}):
-        dist = mean_distribution(spec, n, Kind.BETTI, cap=cap)
-        counts[n] = [count_window(dist, query) for query in queries]
+    counts = {
+        n: window_counts(spec, n, Kind.BETTI, queries, cap=cap)
+        for n in sorted({n for a, b in pairs for n in (a, b, a + b)} | {n_max})
+    }
     values, weights = zip(*entry_multiset(spec))
     tol = 3.0 * math.log(n_max * spec.denom * spec.total_betti) / n_max
 

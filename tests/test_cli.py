@@ -332,6 +332,17 @@ def test_readme_examples_cover_every_command():
     }
 
 
+def test_readme_library_quick_start_runs(capsys):
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    names = {}
+    exec(block, names)
+    # the library count equals the README's CLI count of the same window
+    assert run(["count", "--preset", "torus", "--n", "8", "--c", "1/2", "--delta", "1/16",
+                "--kind", "betti"]) == 0
+    assert capsys.readouterr().out == f"{names['n']}\n"
+    assert len(names["sweep"]) == 64
+
+
 @pytest.mark.parametrize(
     "argv, stdout", README_EXAMPLES, ids=[argv[0] for argv, _ in README_EXAMPLES]
 )

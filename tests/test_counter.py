@@ -29,7 +29,15 @@ from morse_entropy import (
     random_windows,
     validate_spectrum,
 )
-from morse_entropy.counter import _convolve, _power, _site_histogram, occupied_windows
+from morse_entropy import counter
+from morse_entropy.counter import (
+    _convolve,
+    _miller,
+    _site_histogram,
+    occupied_windows,
+    window_counts,
+    window_range,
+)
 from _oracles import brute_window_count, tuple_mean_counts
 
 CIRCLE = preset("circle")
@@ -247,12 +255,12 @@ def _assert_power_matches_sweep(site, n_max):
     counts = (1,)
     for n in range(1, n_max + 1):
         counts = _convolve(counts, site)
-        assert _power(site, n) == counts, (site, n)
+        assert _miller(site, n) == counts, (site, n)
 
 
 def test_miller_power_matches_the_convolution_sweep():
     # q0 = 3 at offset 1 and the next nonzero offset is 4, so for k < 3 the
-    # sum stops before its first term
+    # sum reads only the zeros ahead of a_0
     _assert_power_matches_sweep((0, 3, 0, 0, 2, 0, 5, 1), 40)
     for seed in range(6):
         spec = random_spectrum(random.Random(seed))
@@ -365,6 +373,171 @@ def test_concurrent_queries_agree():
         results = [future.result(timeout=60).counts for future in futures]
     assert all(r == results[0] for r in results)
     assert sum(results[0]) == 2 ** 64
+
+
+def _fraction_range(query, grid_denom):
+    """``window_range`` as rational arithmetic on the window edges."""
+    lo = max(math.ceil((query.c - query.delta) * grid_denom), 0)
+    hi_edge = (query.c + query.delta) * grid_denom
+    if query.boundary is Boundary.CLOSED_CLOSED:
+        hi = math.floor(hi_edge)
+    else:
+        hi = math.ceil(hi_edge) - 1
+    return range(lo, max(lo, min(hi, grid_denom) + 1))
+
+
+def test_window_range_equals_the_rational_formula():
+    rng = random.Random(5)
+    cases = []
+    for _ in range(3000):
+        grid = rng.randint(1, 400)
+        c = Fraction(rng.randint(-40, 160), rng.randint(1, 120))
+        delta = Fraction(rng.randint(1, 90), rng.randint(1, 120))
+        cases.append((grid, c, delta))
+    # edges exactly on grid points, and windows hanging past 0 or 1
+    for grid in (1, 2, 7, 12, 60):
+        for s in range(grid + 1):
+            cases += [
+                (grid, Fraction(s, grid), Fraction(1, grid)),
+                (grid, Fraction(s, grid), Fraction(s + 1, grid)),
+                (grid, Fraction(2 * s + 1, 2 * grid), Fraction(1, 2 * grid)),
+            ]
+    cases += [
+        (10, Fraction(0), Fraction(3)),
+        (10, Fraction(1), Fraction(1, 10)),
+        (9, Fraction(-1, 4), Fraction(1, 3)),
+    ]
+    checked = 0
+    for grid, c, delta in cases:
+        for boundary in Boundary:
+            try:
+                query = WindowQuery(c, delta, boundary)
+            except ValueError:
+                continue  # the window misses [0, 1]
+            checked += 1
+            assert window_range(query, grid) == _fraction_range(query, grid), (query, grid)
+    assert checked > 4000
+
+
+# weight -1 at 1/2: coefficients of either sign (validation bypassed)
+SIGNED = CriticalSpectrum(
+    atoms=(
+        SpectrumAtom(Fraction(0), 1, 1),
+        SpectrumAtom(Fraction(1, 2), -1, -1),
+        SpectrumAtom(Fraction(1), 1, 1),
+    ),
+    denom=2,
+)
+# zero weight at both edges for BETTI: the site has leading and trailing zeros
+ZERO_EDGES = CriticalSpectrum(
+    atoms=(
+        SpectrumAtom(Fraction(0), 1, 0),
+        SpectrumAtom(Fraction(1, 3), 2, 1),
+        SpectrumAtom(Fraction(1, 2), 3, 2),
+        SpectrumAtom(Fraction(1), 1, 0),
+    ),
+    denom=6,
+)
+
+
+def _probe_queries(rng, count):
+    """Windows of every width in both conventions, some past the grid, some empty."""
+    queries = []
+    while len(queries) < count:
+        c = Fraction(rng.randint(-30, 150), 120)
+        delta = Fraction(1, rng.choice((1, 2, 5, 16, 61, 400, 5000)))
+        try:
+            queries.append(WindowQuery(c, delta, rng.choice(list(Boundary))))
+        except ValueError:
+            pass
+    return queries
+
+
+def _assert_window_counts_match(spec, n, kind, queries):
+    dist = mean_distribution(spec, n, kind, cap=1 << 22)
+    expected = tuple(count_window(dist, query) for query in queries)
+    assert window_counts(spec, n, kind, queries, cap=1 << 22) == expected, (spec, n, kind)
+
+
+def test_window_counts_equal_counts_of_the_full_distribution():
+    rng = random.Random(3)
+    spectra = [CIRCLE, TORUS, SIGNED, ZERO_EDGES]
+    spectra += [random_spectrum(random.Random(seed)) for seed in range(12)]
+    for spec in spectra:
+        for kind in Kind:
+            for n in (1, 2, 3, rng.randint(4, 40), rng.randint(200, 600)):
+                _assert_window_counts_match(spec, n, kind, _probe_queries(rng, 8))
+                _assert_window_counts_match(spec, n, kind, _probe_queries(rng, 1))
+    # an empty window (between two grid points), alone and among others
+    gap = WindowQuery(Fraction(1, 4), Fraction(1, 100))
+    assert window_counts(CIRCLE, 1, Kind.CRITICAL, [gap]) == (0,)
+    top = WindowQuery(Fraction(1), Fraction(1, 4))
+    assert window_counts(CIRCLE, 2, Kind.CRITICAL, [gap, top]) == (0, 1)
+    assert window_counts(CIRCLE, 2, Kind.CRITICAL, []) == ()
+    # no atom carries betti weight: every count is zero
+    silent = CriticalSpectrum(
+        atoms=(SpectrumAtom(Fraction(0), 1, 0), SpectrumAtom(Fraction(1), 1, 0)),
+        denom=1,
+    )
+    assert window_counts(silent, 3, Kind.BETTI, [WindowQuery(Fraction(1, 2), Fraction(1))]) == (0,)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 60), kind=st.sampled_from(Kind))
+def test_window_counts_equal_counts_on_random_spectra(seed, n, kind):
+    rng = random.Random(seed)
+    _assert_window_counts_match(random_spectrum(rng), n, kind, _probe_queries(rng, 5))
+
+
+def test_window_counts_run_from_the_nearer_grid_end(monkeypatch):
+    sites = []
+    miller = counter._miller
+
+    def recorded(site, n, cuts=None):
+        sites.append(site)
+        return miller(site, n, cuts)
+
+    monkeypatch.setattr(counter, "_miller", recorded)
+    spec = random_spectrum(random.Random(4))
+    site = _site_histogram(spec, Kind.CRITICAL)
+    assert site != site[::-1]
+    low = WindowQuery(Fraction(1, 5), Fraction(1, 10))
+    high = WindowQuery(Fraction(4, 5), Fraction(1, 10))
+    for queries, route in (([low], site), ([high], site[::-1]), ([low, high], site)):
+        _assert_window_counts_match(spec, 300, Kind.CRITICAL, queries)
+        assert sites[-1] == route
+    # the top route on a site with zero weight at both ends
+    _assert_window_counts_match(ZERO_EDGES, 50, Kind.BETTI, [high])
+    assert sites[-1] == _site_histogram(ZERO_EDGES, Kind.BETTI)[::-1]
+
+
+def test_window_counts_check_n_and_the_cap_before_any_work(monkeypatch):
+    monkeypatch.setattr(counter, "_miller", None)  # any call would raise TypeError
+    query = WindowQuery(Fraction(1, 2), Fraction(1, 16))
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        window_counts(TORUS, 0, Kind.CRITICAL, [query])
+    with pytest.raises(ResourceCapError, match="sum grid n\\*denom = 16386 exceeds cap 16384"):
+        window_counts(TORUS, 8193, Kind.CRITICAL, [query])
+    with pytest.raises(ResourceCapError, match="= 34 exceeds cap 32"):
+        window_counts(TORUS, 17, Kind.CRITICAL, [query], cap=32)
+
+
+def test_window_count_holds_a_span_of_coefficients():
+    # Allocation guard, not a timing assert: the full distribution behind
+    # this count (torus, n = 8192, at the default cap) takes about 25 MB.
+    query = WindowQuery(Fraction(1, 2), Fraction(1, 16))
+    tracemalloc.start()
+    try:
+        (count,) = window_counts(TORUS, 8192, Kind.CRITICAL, [query])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    term, total = math.comb(16384, 7168), 0
+    for s in range(7168, 9217):  # the binomials C(16384, s) inside the window
+        total += term
+        term = term * (16384 - s) // (s + 1)
+    assert count == total
+    assert peak < 2 << 20
 
 
 def test_window_query_validation():

@@ -90,6 +90,35 @@ def test_domination_catches_a_bypassed_spectrum():
     assert dict(first.inputs)["n"] == "1"
 
 
+def _domination_by_window_counts(spec, n_max, windows):
+    """``check_domination`` with every count taken by ``count_window``."""
+    violations, checked = [], 0
+    for n in range(1, n_max + 1):
+        dist_b = mean_distribution(spec, n, Kind.BETTI, cap=1 << 20)
+        dist_c = mean_distribution(spec, n, Kind.CRITICAL, cap=1 << 20)
+        for query in windows:
+            checked += 1
+            betti = count_window(dist_b, WindowQuery(query.c, query.delta, Boundary.CLOSED_OPEN))
+            critical = count_window(dist_c, WindowQuery(query.c, query.delta))
+            if betti > critical:
+                inputs = (("n", str(n)), ("c", str(query.c)), ("delta", str(query.delta)))
+                violations.append(Violation(inputs, betti, critical))
+    return LawReport("betti_dominated_by_critical", checked, tuple(violations))
+
+
+def test_domination_prefix_sums_equal_window_counts():
+    rng = random.Random(8)
+    spectra = [CIRCLE, TORUS, BROKEN, bypassed((0, 1, 1), (Fraction(1, 2), 1, 5), (1, 1, 1))]
+    spectra += [random_spectrum(rng) for _ in range(6)]
+    failed = 0
+    for spec in spectra:
+        windows = random_windows(rng, 12)
+        report = check_domination(spec, 7, windows, cap=1 << 20)
+        assert report == _domination_by_window_counts(spec, 7, windows)
+        failed += not report.passed
+    assert failed  # a bypassed spectrum: violations and their order are compared too
+
+
 def test_superadditivity_on_presets():
     for spec in (CIRCLE, TORUS):
         for n1, n2 in ((1, 1), (2, 3), (4, 4), (1, 7)):
@@ -205,18 +234,18 @@ def test_fekete_matches_the_full_sweep_oracle():
 
 def test_verify_fekete_reads_exact_counts_only_where_its_laws_do(monkeypatch, capsys):
     sweeps = _counting(monkeypatch, "mean_distributions")
-    powers = _counting(monkeypatch, "mean_distribution")
+    powers = _counting(monkeypatch, "window_counts")
     assert cli.run(["verify", "--preset", "torus", "--suite", "fekete"]) == 0
     assert capsys.readouterr().out == "PASS fekete_limit instances=138 violations=0\n"
     assert sweeps == []
     read = {n for a, b in fekete_pairs(Fraction(1, 10), 64) for n in (a, b, a + b)} | {64}
-    ns = [n for spec, n, kind in powers]
+    ns = [n for spec, n, kind, queries in powers]
     assert sorted(ns) == sorted(read)  # each n read, and each at most once
-    assert {kind for spec, n, kind in powers} == {Kind.BETTI}
+    assert {kind for spec, n, kind, queries in powers} == {Kind.BETTI}
 
 
 def test_fekete_checks_the_cap_before_building_any_distribution(monkeypatch, capsys):
-    powers = _counting(monkeypatch, "mean_distribution")
+    powers = _counting(monkeypatch, "window_counts")
     with pytest.raises(ResourceCapError, match="128 exceeds cap 127"):
         check_fekete(TORUS, (Fraction(1, 2), Fraction(1, 4)), Fraction(1, 10), 64, cap=127)
     assert powers == []
@@ -255,11 +284,11 @@ def test_batched_superadditivity_equals_single_draws(monkeypatch):
             singles = merge_reports(
                 *(check_superadditivity(spec, *draw, cap=1 << 20) for draw in zip(*draws))
             )
-            powers = _counting(monkeypatch, "mean_distribution")
+            powers = _counting(monkeypatch, "window_counts")
             batched = check_superadditivity(spec, *draws, cap=1 << 20)
             monkeypatch.undo()
             assert batched == singles
-            keys = [(n, kind) for _, n, kind in powers]
+            keys = [(n, kind) for _, n, kind, _ in powers]
             assert len(keys) == len(set(keys)) <= 32
     assert not batched.passed  # SIGNED: violation order is compared too
     half, quarter = Fraction(1, 2), Fraction(1, 4)
