@@ -15,7 +15,6 @@ rows, so repeated runs diff clean.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import random
@@ -102,6 +101,8 @@ def emit_curve(
         lines.append("")  # the final newline, without copying the joined text
         return "\n".join(lines)
     if fmt == "json":
+        import json
+
         eps = [_json_value(r) for r in epsilon.rates] if epsilon is not None else None
         if betti is epsilon:
             bet = eps
@@ -190,6 +191,8 @@ def _resolve_cap(flag_value: Optional[int]) -> int:
 def _load_spectrum(args) -> CriticalSpectrum:
     if args.preset is not None:
         return preset(args.preset)
+    import json
+
     with open(args.spectrum_file, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -219,6 +222,8 @@ def _write_output(text: str, out: Optional[str]) -> None:
 def _cmd_spectrum(args) -> int:
     spec = _load_spectrum(args)
     if args.action == "dump":
+        import json
+
         records = [
             {
                 "value": str(a.value),
@@ -312,9 +317,15 @@ def _parse_betas(text: str) -> List[float]:
         if not token:
             continue
         try:
-            betas.append(float(token))
+            beta = float(token)
         except ValueError:
-            betas.append(float(as_rational(token)))
+            try:
+                beta = float(as_rational(token))
+            except OverflowError:  # a rational too large for a float
+                beta = math.inf
+        if not math.isfinite(beta):
+            raise ValueError(f"beta must be finite, got {token}")
+        betas.append(beta)
     if not betas:
         raise ValueError("empty beta list")
     return betas

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .spectrum import CriticalSpectrum, as_rational
 
@@ -67,22 +66,29 @@ class Boundary(enum.Enum):
     CLOSED_OPEN = "half-open"
 
 
-@dataclass(frozen=True)
-class MeanDistribution:
+class MeanDistribution(
+    NamedTuple(
+        "MeanDistribution",
+        [("n", int), ("grid_denom", int), ("counts", Tuple[int, ...]), ("kind", Kind)],
+    )
+):
     """Counts of n-tuples by mean value, on the grid s / grid_denom."""
 
-    n: int
-    grid_denom: int
-    counts: Tuple[int, ...]
-    kind: Kind
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if len(self.counts) != self.grid_denom + 1:
+    def __new__(cls, n: int, grid_denom: int, counts: Tuple[int, ...], kind: Kind):
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if len(counts) != grid_denom + 1:
             raise ValueError(
-                f"counts length {len(self.counts)} does not match grid 0..{self.grid_denom}"
+                f"counts length {len(counts)} does not match grid 0..{grid_denom}"
             )
+        return super().__new__(cls, n, grid_denom, counts, kind)
+
+    @classmethod
+    def _make(cls, iterable) -> MeanDistribution:
+        # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def total(self) -> int:
@@ -90,22 +96,19 @@ class MeanDistribution:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
-class WindowQuery:
-    """A value window [c - delta, c + delta] with an endpoint convention."""
+class WindowQuery(
+    NamedTuple("WindowQuery", [("c", Fraction), ("delta", Fraction), ("boundary", Boundary)])
+):
+    """A value window [c - delta, c + delta] with an endpoint convention.
 
-    c: Fraction
-    delta: Fraction
-    boundary: Boundary = Boundary.CLOSED_CLOSED
-    # the edges c - delta and c + delta as integer numerators over _den
-    _lo: int = field(init=False, repr=False, compare=False)
-    _hi: int = field(init=False, repr=False, compare=False)
-    _den: int = field(init=False, repr=False, compare=False)
+    ``c`` and ``delta`` are read by :func:`~.spectrum.as_rational`.  The
+    edges c - delta and c + delta are kept as integer numerators ``_lo``
+    and ``_hi`` over ``_den``; they are not fields, so equality, hashing
+    and the repr ignore them.
+    """
 
-    def __post_init__(self):
-        c, delta = as_rational(self.c), as_rational(self.delta)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "delta", delta)
+    def __new__(cls, c: Fraction, delta: Fraction, boundary: Boundary = Boundary.CLOSED_CLOSED):
+        c, delta = as_rational(c), as_rational(delta)
         den = math.lcm(c.denominator, delta.denominator)
         centre = c.numerator * (den // c.denominator)
         half = delta.numerator * (den // delta.denominator)
@@ -113,9 +116,14 @@ class WindowQuery:
             raise ValueError(f"delta must be positive, got {delta}")
         if not (centre - half < den and centre + half > 0):
             raise ValueError(f"window around {c} +- {delta} misses [0, 1]")
-        object.__setattr__(self, "_lo", centre - half)
-        object.__setattr__(self, "_hi", centre + half)
-        object.__setattr__(self, "_den", den)
+        self = super().__new__(cls, c, delta, boundary)
+        self._lo, self._hi, self._den = centre - half, centre + half, den
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> WindowQuery:
+        # so that _replace validates and sets the edges too
+        return cls(*iterable)
 
 
 def _check_cap(spec: CriticalSpectrum, n: int, cap: Optional[int]) -> None:

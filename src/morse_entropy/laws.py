@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .counter import (
     Kind,
@@ -32,8 +31,7 @@ from .rate import betti_curve, epsilon_curve, maxent_rate, MaxEntProblem, window
 from .spectrum import CriticalSpectrum, entry_multiset, validate_spectrum
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed instance: the inputs and the two compared quantities."""
 
     inputs: Tuple[Tuple[str, str], ...]
@@ -41,8 +39,7 @@ class Violation:
     rhs: object
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(NamedTuple):
     law: str
     instances_checked: int
     violations: Tuple[Violation, ...]
@@ -86,8 +83,8 @@ def check_domination(
     summed once into prefix sums, and each window count is their
     difference.
     """
-    betti_queries = [replace(query, boundary=Kind.BETTI.boundary) for query in windows]
-    critical_queries = [replace(query, boundary=Kind.CRITICAL.boundary) for query in windows]
+    betti_queries = [WindowQuery(q.c, q.delta, Kind.BETTI.boundary) for q in windows]
+    critical_queries = [WindowQuery(q.c, q.delta, Kind.CRITICAL.boundary) for q in windows]
     violations: List[Violation] = []
     checked = 0
     for dist_c, dist_b in zip(

@@ -22,10 +22,9 @@ over such a family solves only the points with c <= 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import List, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 from .spectrum import CriticalSpectrum, as_rational, entry_multiset
 
@@ -46,24 +45,31 @@ class ConvergenceError(RuntimeError):
     """A root-find or quadrature failed to reach its tolerance."""
 
 
-@dataclass(frozen=True)
-class MaxEntProblem:
+class MaxEntProblem(
+    NamedTuple(
+        "MaxEntProblem",
+        [
+            ("values", Tuple[Fraction, ...]),
+            ("weights", Tuple[float, ...]),
+            ("target", Union[Fraction, float]),
+        ],
+    )
+):
     """A validated family (distinct rational values, positive weights) and a target mean.
 
     The family keeps, per hull edge, its values as floats measured from that
     edge, the log weights to match and the family evaluated there at
     lam = 0, where every Newton solve starts.  It also keeps the two hull
-    ends as integer numerators over their least common denominator.
+    ends as integer numerators over their least common denominator.  These
+    are not fields, so equality, hashing and the repr ignore them.
     :meth:`at` re-targets it without redoing any of this.
     """
 
-    values: Tuple[Fraction, ...]
-    weights: Tuple[float, ...]
-    target: Union[Fraction, float]
-
-    def __post_init__(self):
-        values = tuple(as_rational(v) for v in self.values)
-        weights = tuple(float(w) for w in self.weights)
+    def __new__(
+        cls, values: Sequence[Fraction], weights: Sequence[float], target: Union[Fraction, float]
+    ):
+        values = tuple(as_rational(v) for v in values)
+        weights = tuple(float(w) for w in weights)
         if len(values) != len(weights) or not values:
             raise ValueError("values and weights must have equal length >= 1")
         values, weights = zip(*sorted(zip(values, weights), key=lambda vw: vw[0]))
@@ -71,32 +77,36 @@ class MaxEntProblem:
             raise ValueError("values must be distinct")
         if any(w <= 0 or not math.isfinite(w) for w in weights):
             raise ValueError("weights must be positive and finite")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
+        self = super().__new__(cls, values, weights, target)
         log_w = [math.log(w) for w in weights]
         from_edge = {
             1: ([float(v - values[0]) for v in values], log_w),
             -1: ([float(values[-1] - v) for v in reversed(values)], log_w[::-1]),
         }
-        object.__setattr__(self, "_from_edge", {
+        self._from_edge = {
             order: (fv, lw, _family(fv, lw, 0.0)) for order, (fv, lw) in from_edge.items()
-        })
+        }
         denom = math.lcm(values[0].denominator, values[-1].denominator)
-        object.__setattr__(self, "_hull", (
+        self._hull = (
             values[0].numerator * (denom // values[0].denominator),
             values[-1].numerator * (denom // values[-1].denominator),
             denom,
-        ))
+        )
+        return self
 
-    def at(self, target: Union[Fraction, float]) -> "MaxEntProblem":
+    @classmethod
+    def _make(cls, iterable) -> MaxEntProblem:
+        # so that _replace validates and rebuilds the family too
+        return cls(*iterable)
+
+    def at(self, target: Union[Fraction, float]) -> MaxEntProblem:
         """The same family with a new target, not validated again."""
-        problem = object.__new__(MaxEntProblem)
-        problem.__dict__.update(self.__dict__, target=target)
+        problem = tuple.__new__(MaxEntProblem, (self.values, self.weights, target))
+        problem._from_edge, problem._hull = self._from_edge, self._hull
         return problem
 
 
-@dataclass(frozen=True)
-class MaxEntSolution:
+class MaxEntSolution(NamedTuple):
     """Solver output; ``lam`` is the mean-constraint multiplier.
 
     ``rate`` equals H(p) + sum p_i log w_i for the returned p, and the
@@ -217,21 +227,28 @@ def maxent_rate(problem: MaxEntProblem) -> MaxEntSolution:
     )
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(
+    NamedTuple(
+        "Curve", [("grid", Tuple[Fraction, ...]), ("rates", Tuple[float, ...]), ("kind", str)]
+    )
+):
     """Rates over a strictly increasing rational grid."""
 
-    grid: Tuple[Fraction, ...]
-    rates: Tuple[float, ...]
-    kind: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.grid) != len(self.rates):
+    def __new__(cls, grid: Tuple[Fraction, ...], rates: Tuple[float, ...], kind: str):
+        if len(grid) != len(rates):
             raise ValueError("grid and rates must have equal length")
-        if len(self.grid) < 2:
+        if len(grid) < 2:
             raise ValueError("a curve needs at least two points")
-        if any(self.grid[i] >= self.grid[i + 1] for i in range(len(self.grid) - 1)):
+        if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
             raise ValueError("grid must be strictly increasing")
+        return super().__new__(cls, grid, rates, kind)
+
+    @classmethod
+    def _make(cls, iterable) -> Curve:
+        # so that _replace validates too
+        return cls(*iterable)
 
 
 def _curve(values, weights, grid_points: int, kind: str) -> Curve:

@@ -13,9 +13,8 @@ two counting fields as plain integers.  Floats are rejected on ingestion:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 RawAtom = Tuple[Union[int, str, Fraction], int, int]
 
@@ -31,11 +30,14 @@ class SpectrumError(ValueError):
 def as_rational(x: Union[int, str, Fraction]) -> Fraction:
     """Convert an exact input ("3/4", 1, Fraction) to Fraction.
 
-    Floats raise ValueError rather than importing their binary expansion.
+    A Fraction is returned as it is.  Floats raise ValueError rather than
+    importing their binary expansion.
     """
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, bool) or isinstance(x, float):
         raise ValueError(f"expected an exact rational, got {x!r}")
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -45,8 +47,7 @@ def as_rational(x: Union[int, str, Fraction]) -> Fraction:
     raise ValueError(f"expected an exact rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class SpectrumAtom:
+class SpectrumAtom(NamedTuple):
     """One critical value with its point count and homology count."""
 
     value: Fraction
@@ -54,14 +55,13 @@ class SpectrumAtom:
     betti_weight: int
 
 
-@dataclass(frozen=True)
-class CriticalSpectrum:
+class CriticalSpectrum(NamedTuple):
     """Sorted atoms plus the least common denominator of their values.
 
     Instances are meant to come out of :func:`validate_spectrum` or
-    :func:`preset`; the dataclass itself does not re-check anything, so
-    tests can construct deliberately broken spectra and watch the law
-    checks object.
+    :func:`preset`; constructing one directly checks nothing, so tests
+    can build deliberately broken spectra and watch the law checks
+    object.
     """
 
     atoms: Tuple[SpectrumAtom, ...]

@@ -21,10 +21,9 @@ until beta exceeds 4 pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .rate import ConvergenceError
 from .spectrum import CriticalSpectrum
@@ -41,8 +40,7 @@ QUADRATURE_RTOL = 1e-10
 _QUADRATURE_MAX_POINTS = 1 << 21
 
 
-@dataclass(frozen=True)
-class GibbsState:
+class GibbsState(NamedTuple):
     """Normalised Boltzmann weights over the atoms at inverse temperature beta."""
 
     beta: float
@@ -146,8 +144,7 @@ def _circle_partition_mean(beta: float, points: int) -> float:
     return math.fsum(math.exp(-beta * circle_height(k * step)) for k in range(points)) / points
 
 
-@dataclass(frozen=True)
-class LaplaceRow:
+class LaplaceRow(NamedTuple):
     beta: float
     z: float
     g: float
@@ -155,8 +152,7 @@ class LaplaceRow:
     converged: bool
 
 
-@dataclass(frozen=True)
-class LaplaceReport:
+class LaplaceReport(NamedTuple):
     """Continuum sanity check of the ground-state squeeze on the circle."""
 
     rows: Tuple[LaplaceRow, ...]
@@ -184,6 +180,8 @@ def laplace_check(beta_grid: Sequence[float], quadrature_points: int = 256) -> L
         raise ValueError("beta grid is empty")
     if any(b <= 0 for b in betas):
         raise ValueError("beta grid must be positive")
+    if not all(map(math.isfinite, betas)):
+        raise ValueError("beta grid must be finite")
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta grid must be strictly increasing")
     if quadrature_points < 256:

@@ -492,6 +492,21 @@ def test_thermo_laplace_rejects_nonpositive_beta(capsys):
     capsys.readouterr()
 
 
+# nan, inf and an overflowing float or rational are bad input, with or
+# without --laplace; before any row is printed.
+NONFINITE_BETAS = ("nan", "inf", "-inf", "1e400", "10,nan", "1" + "0" * 400 + "/1")
+
+
+@pytest.mark.parametrize("laplace", [False, True], ids=["plain", "laplace"])
+@pytest.mark.parametrize("beta", NONFINITE_BETAS, ids=lambda b: b[:8])
+def test_thermo_rejects_nonfinite_beta(capsys, beta, laplace):
+    argv = ["thermo", "--preset", "circle", f"--beta={beta}"] + ["--laplace"] * laplace
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: beta must be finite, got ")
+
+
 def test_thermo_laplace_unsettled_exits_three(capsys, monkeypatch):
     monkeypatch.setattr(thermo_module, "_QUADRATURE_MAX_POINTS", 256)
     assert run(["thermo", "--preset", "circle", "--beta", "10", "--laplace"]) == 3

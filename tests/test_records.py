@@ -1,0 +1,182 @@
+"""The package's record types, and what importing the CLI loads."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from morse_entropy import (
+    Boundary,
+    CriticalSpectrum,
+    Curve,
+    GibbsState,
+    Kind,
+    LaplaceReport,
+    LaplaceRow,
+    LawReport,
+    MaxEntProblem,
+    MaxEntSolution,
+    MeanDistribution,
+    SpectrumAtom,
+    Violation,
+    WindowQuery,
+    maxent_rate,
+    preset,
+)
+from morse_entropy.counter import window_range
+
+ROOT = Path(__file__).resolve().parents[1]
+HALF, TENTH = Fraction(1, 2), Fraction(1, 10)
+TORUS = preset("torus")
+ROW = LaplaceRow(10.0, 0.25, 0.14, 512, True)
+
+# Each record type with its fields, in declaration order, set to two valid
+# sets of values that differ in every field.
+RECORDS = [
+    (SpectrumAtom, {"value": (HALF, TENTH), "multiplicity": (2, 3), "betti_weight": (2, 1)}),
+    (CriticalSpectrum, {"atoms": (TORUS.atoms, TORUS.atoms[1:]), "denom": (2, 4)}),
+    (
+        MeanDistribution,
+        {
+            "n": (2, 1),
+            "grid_denom": (2, 1),
+            "counts": ((1, 2, 1), (1, 1)),
+            "kind": (Kind.CRITICAL, Kind.BETTI),
+        },
+    ),
+    (
+        WindowQuery,
+        {
+            "c": (HALF, Fraction(1, 4)),
+            "delta": (TENTH, HALF),
+            "boundary": (Boundary.CLOSED_OPEN, Boundary.CLOSED_CLOSED),
+        },
+    ),
+    (
+        MaxEntProblem,
+        {
+            "values": ((Fraction(0), HALF, Fraction(1)), (Fraction(0), Fraction(1))),
+            "weights": ((1.0, 2.0, 1.0), (3.0, 1.0)),
+            "target": (Fraction(1, 4), Fraction(1, 3)),
+        },
+    ),
+    (
+        MaxEntSolution,
+        {
+            "lam": (0.5, -1.0),
+            "p": ((0.25, 0.75), (0.5, 0.5)),
+            "rate": (-0.5, 0.25),
+            "converged": (True, False),
+            "iterations": (6, 200),
+        },
+    ),
+    (
+        Curve,
+        {
+            "grid": ((Fraction(0), Fraction(1)), (Fraction(0), HALF, Fraction(1))),
+            "rates": ((0.0, 0.0), (0.0, 0.5, 0.0)),
+            "kind": ("epsilon", "betti"),
+        },
+    ),
+    (GibbsState, {"beta": (1.0, 2.0), "p": ((0.7, 0.3), (0.9, 0.1)), "free_energy": (0.5, 0.1)}),
+    (
+        LaplaceRow,
+        {
+            "beta": (10.0, 100.0),
+            "z": (0.25, 0.08),
+            "g": (0.14, 0.025),
+            "points": (512, 1024),
+            "converged": (True, False),
+        },
+    ),
+    (LaplaceReport, {"rows": ((ROW,), ()), "violations": ((), ("g not decreasing",))}),
+    (
+        Violation,
+        {"inputs": ((("n", "3"),), (("n", "4"),)), "lhs": (5, 0), "rhs": (4, 1)},
+    ),
+    (
+        LawReport,
+        {"law": ("fekete_limit", "other"), "instances_checked": (3, 4), "violations": ((), (None,))},
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_are_immutable_values(cls, fields):
+    names = tuple(fields)
+    first = {name: pair[0] for name, pair in fields.items()}
+    second = {name: pair[1] for name, pair in fields.items()}
+    record = cls(*first.values())
+
+    assert cls(**first) == record
+    assert tuple(getattr(record, name) for name in names) == tuple(first.values())
+    assert hash(cls(**first)) == hash(record)
+    assert cls(**second) != record
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, second[name])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == cls(**first)
+    body = ", ".join(f"{name}={value!r}" for name, value in first.items())
+    assert repr(record) == f"{cls.__name__}({body})"
+
+
+def test_window_query_default_boundary_and_rational_inputs():
+    query = WindowQuery("2/4", 1)
+    assert query == WindowQuery(HALF, Fraction(1), Boundary.CLOSED_CLOSED)
+    assert type(query.c) is Fraction and type(query.delta) is Fraction
+
+
+@pytest.mark.parametrize(
+    "record, change, message",
+    [
+        (WindowQuery(HALF, TENTH), {"delta": 0}, "delta must be positive"),
+        (WindowQuery(HALF, TENTH), {"c": 2}, "misses"),
+        (MeanDistribution(1, 1, (1, 1), Kind.BETTI), {"n": 0}, "n must be >= 1"),
+        (MeanDistribution(1, 1, (1, 1), Kind.BETTI), {"counts": (1,)}, "does not match"),
+        (Curve((0, 1), (0.0, 0.0), "epsilon"), {"rates": (0.0,)}, "equal length"),
+        (MaxEntProblem((0, 1), (1.0, 1.0), HALF), {"weights": (1.0, 0.0)}, "positive"),
+    ],
+)
+def test_replace_validates_like_construction(record, change, message):
+    with pytest.raises(ValueError, match=message):
+        record._replace(**change)
+
+
+def test_replace_rebuilds_what_validation_keeps():
+    query = WindowQuery(HALF, TENTH)._replace(boundary=Boundary.CLOSED_OPEN)
+    fresh = WindowQuery(HALF, TENTH, Boundary.CLOSED_OPEN)
+    assert query == fresh and window_range(query, 10) == window_range(fresh, 10)
+    family = MaxEntProblem((0, HALF, 1), (1.0, 2.0, 1.0), 0)
+    moved = family._replace(target=Fraction(1, 4))
+    fresh = MaxEntProblem((0, HALF, 1), (1.0, 2.0, 1.0), Fraction(1, 4))
+    assert moved == family.at(Fraction(1, 4)) == fresh
+    assert maxent_rate(moved) == maxent_rate(family.at(Fraction(1, 4)))
+
+
+def _traced_modules():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TRACED
+
+
+def test_cli_import_loads_every_module_and_no_dataclasses_inspect_or_json():
+    # -S keeps site-packages start-up hooks out of the module list.
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, morse_entropy.cli; print(*sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert {"dataclasses", "inspect", "json"}.isdisjoint(loaded)
+    assert {f"morse_entropy.{module}" for module in _traced_modules()} <= loaded

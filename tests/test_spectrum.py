@@ -124,6 +124,17 @@ def test_as_rational():
             as_rational(bad)
 
 
+def test_as_rational_returns_a_fraction_as_it_is():
+    f = Fraction(5, 6)
+    assert as_rational(f) is f
+    for exact, want in ((7, Fraction(7)), (-3, Fraction(-3)), ("7/21", Fraction(1, 3))):
+        got = as_rational(exact)
+        assert type(got) is Fraction and got == want
+    for bad in (0.5, 1.0, float("nan"), True, False):
+        with pytest.raises(ValueError, match="exact rational"):
+            as_rational(bad)
+
+
 def test_entry_multiset_drops_silent_atoms():
     spec = validate_spectrum([(0, 1, 1), ("1/2", 2, 0), ("2/3", 3, 2), (1, 1, 1)])
     entries = entry_multiset(spec)

@@ -193,6 +193,11 @@ def test_laplace_grid_validation():
         laplace_check([2.0, 1.0])
     with pytest.raises(ValueError, match="quadrature"):
         laplace_check([10.0], 128)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            laplace_check([10.0, bad])
+    with pytest.raises(ValueError, match="positive"):
+        laplace_check([-math.inf, 10.0])
 
 
 def test_laplace_reports_unsettled_quadrature(monkeypatch):
