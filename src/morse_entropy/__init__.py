@@ -21,7 +21,6 @@ from .counter import (
     count_window,
     finite_rate,
     mean_distribution,
-    mean_distributions,
     window_counts,
 )
 from .laws import (
@@ -106,7 +105,6 @@ __all__ = [
     "legendre_epsilon",
     "maxent_rate",
     "mean_distribution",
-    "mean_distributions",
     "merge_reports",
     "preset",
     "preset_names",

@@ -4,18 +4,17 @@ Averaging n independent copies of a spectrum with common denominator D
 puts every achievable mean on the grid s / (n*D), s = 0 .. n*D.  The
 number of n-tuples of critical points at each grid value is an integer,
 the coefficient of x**s in the n-th power of the single-site histogram.
-One power comes from J.C.P. Miller's recurrence, in which a coefficient
-needs only the D or fewer before it.  So :func:`window_counts` streams
-the recurrence from the grid end nearer its windows, stops at the
-farthest window edge and holds O(D) coefficients plus one prefix sum per
-window edge, never the n*D + 1 of the whole grid;
-:func:`mean_distribution` runs the same recurrence to the end and keeps
-every coefficient.  A sweep over every n up to some n_max rolls one
-convolution per step instead.  Whether a window holds any tuple at all
-needs no counts: :func:`occupied_windows` steps the support of the
-n-fold sum as one bitmask.  Counts stay Python integers throughout; the
-only float in this module is the final ``log(count) / n`` of
-:func:`finite_rate`.
+One power comes from J.C.P. Miller's recurrence, streamed one
+coefficient at a time, each needing only the D or fewer before it.
+:func:`window_counts` sums the stream from the grid end nearer its
+windows, stops at the farthest window edge and holds O(D) coefficients
+plus one prefix sum per window edge, never the n*D + 1 of the whole
+grid; :func:`mean_distribution` keeps every coefficient.  The law checks
+that read every n up to some n_max roll one convolution per step
+instead.  Whether a window holds any tuple at all needs no counts:
+:func:`occupied_windows` steps the support of the n-fold sum as one
+bitmask.  Counts stay Python integers throughout; the only float in this
+module is the final ``log(count) / n`` of :func:`finite_rate`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, mul
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -154,8 +153,8 @@ def _convolve(counts: Tuple[int, ...], site: Tuple[int, ...]) -> Tuple[int, ...]
     return tuple(out)
 
 
-def _miller(site: Tuple[int, ...], n: int, cuts: Optional[List[int]] = None):
-    """Coefficients of P(x)**n, P given by its coefficients ``site``.
+def _miller(site: Tuple[int, ...], n: int) -> Iterator[int]:
+    """The coefficients of P(x)**n, lowest first, P given by its coefficients ``site``.
 
     J.C.P. Miller's recurrence: with P = x**low * Q, q_0 = Q(0) != 0 and e
     the degree of Q, the coefficients of Q**n satisfy
@@ -163,44 +162,28 @@ def _miller(site: Tuple[int, ...], n: int, cuts: Optional[List[int]] = None):
     an exact division, summed over the nonzero q_j only, so a_k reads only
     the e coefficients before it.  Each term keeps (n + 1) * j * q_j, and
     ``a`` starts with e zeros, which stand for the a_(k-j) with j > k.
-
-    Without ``cuts`` this returns every coefficient of P**n.  With
-    ``cuts``, ascending grid indices, it returns the sum of the
-    coefficients below each cut: the recurrence stops at the last cut and
-    every :data:`_TRIM` steps drops all but the last e coefficients,
-    adding them to a running sum first.
+    Every :data:`_TRIM` steps ``a`` drops all but its last e coefficients,
+    so a caller that stops early never holds the whole power.
     """
-    size = n * (len(site) - 1) + 1
     nonzero = [j for j, w in enumerate(site) if w]
     if not nonzero:
-        return (0,) * size if cuts is None else [0] * len(cuts)
+        yield from repeat(0, n * (len(site) - 1) + 1)
+        return
     low, q0 = nonzero[0], site[nonzero[0]]
     span = nonzero[-1] - low
     terms = [(low - j, (n + 1) * (j - low) * site[j], site[j]) for j in nonzero[1:]]
-    last = n * span + 1  # Q**n has the coefficients a_0 .. a_(last - 1)
-    if cuts is None:
-        ends = [last]
-    else:
-        cuts = [min(max(cut - n * low, 0), last) for cut in cuts]
-        ends = sorted({*cuts, *range(_TRIM, cuts[-1], _TRIM)} - {0})
-        below = dict.fromkeys(cuts, 0)
+    yield from repeat(0, n * low)
     a = [0] * span + [q0 ** n]
-    done, dropped = 1, 0
-    for end in ends:
-        for k in range(done, end):
-            total = 0
-            for back, nq, q in terms:
-                total += (nq - k * q) * a[back]
-            a.append(total // (k * q0))
-        done = end
-        if cuts is not None:
-            if end in below:
-                below[end] = dropped + sum(a)
-            dropped += sum(a[: len(a) - span])
-            del a[: len(a) - span]
-    if cuts is not None:
-        return [below[cut] for cut in cuts]
-    return (0,) * (n * low) + tuple(a[span:]) + (0,) * (size - n * low - last)
+    yield a[-1]
+    for k in range(1, n * span + 1):
+        total = 0
+        for back, nq, q in terms:
+            total += (nq - k * q) * a[back]
+        a.append(total // (k * q0))
+        yield a[-1]
+        if not k % _TRIM:
+            del a[:-span]
+    yield from repeat(0, n * (len(site) - 1 - nonzero[-1]))
 
 
 def mean_distribution(
@@ -212,16 +195,16 @@ def mean_distribution(
 ) -> MeanDistribution:
     """Exact mean distribution of n-tuples, as one power of the site histogram.
 
-    The power comes from J.C.P. Miller's recurrence, in O(n * denom)
-    big-integer steps per nonzero atom, holding one distribution.  ``cap``
-    bounds the sum grid n * denom (default :data:`DEFAULT_CAP`); exceeding
-    it raises :class:`ResourceCapError` before any work is done.  To count
-    windows, :func:`window_counts` holds far less.
+    The power is every coefficient of Miller's recurrence (see
+    :func:`_miller`), in O(n * denom) big-integer steps per nonzero atom.
+    ``cap`` bounds the sum grid n * denom (default :data:`DEFAULT_CAP`);
+    exceeding it raises :class:`ResourceCapError` before any work is done.
+    To count windows, :func:`window_counts` holds far less.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_cap(spec, n, cap)
-    counts = _miller(_site_histogram(spec, kind), n)
+    counts = tuple(_miller(_site_histogram(spec, kind), n))
     return MeanDistribution(n=n, grid_denom=n * spec.denom, counts=counts, kind=kind)
 
 
@@ -236,12 +219,12 @@ def window_counts(
     """Exact count of n-tuples in each window, without building the distribution.
 
     Equals ``tuple(count_window(mean_distribution(spec, n, kind, cap=cap),
-    q) for q in queries)``.  Miller's recurrence runs from the grid end
+    q) for q in queries)``.  Miller's recurrence streams from the grid end
     nearer the windows (from the top on the reversed site, whose n-th
-    power holds the coefficients in reverse order), stops at the farthest
-    window edge, and holds at most denom + 256 coefficients plus one
-    prefix sum per window edge.  The cap is checked as in
-    :func:`mean_distribution`, before any work.
+    power holds the coefficients in reverse order) and is summed between
+    the sorted window edges, up to the farthest one.  So this holds at most
+    denom + 256 coefficients plus one prefix sum per window edge.  The cap
+    is checked as in :func:`mean_distribution`, before any work.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -256,29 +239,26 @@ def window_counts(
         site = site[::-1]
         spans = [range(grid + 1 - span.stop, grid + 1 - span.start) for span in spans]
         cuts = [grid + 1 - cut for cut in reversed(cuts)]
-    below = dict(zip(cuts, _miller(site, n, cuts)))
+    coeffs, below, done = _miller(site, n), {0: 0}, 0
+    for cut in cuts:
+        below[cut] = below[done] + sum(islice(coeffs, cut - done))
+        done = cut
     return tuple(below[span.stop] - below[span.start] if span else 0 for span in spans)
 
 
-def mean_distributions(
-    spec: CriticalSpectrum,
-    kind: Kind,
-    n_max: int,
-    *,
-    cap: Optional[int] = None,
-) -> Iterator[MeanDistribution]:
-    """The mean distributions for n = 1 .. n_max, in order.
+def _sweep(
+    spec: CriticalSpectrum, kind: Kind, n_max: int, cap: Optional[int]
+) -> Iterator[Tuple[int, ...]]:
+    """Counts on the grid s / (n * denom) for n = 1 .. n_max, one convolution a step.
 
-    Each step is one convolution with the site histogram, and only the
-    current distribution is held.  The cap is checked for n_max before
-    the first distribution is built.
+    Only the current counts are held.  The cap is checked for n_max first.
     """
     _check_cap(spec, n_max, cap)
     site = _site_histogram(spec, kind)
     counts = (1,)
-    for n in range(1, n_max + 1):
+    for _ in range(n_max):
         counts = _convolve(counts, site)
-        yield MeanDistribution(n=n, grid_denom=n * spec.denom, counts=counts, kind=kind)
+        yield counts
 
 
 def window_range(query: WindowQuery, grid_denom: int) -> range:

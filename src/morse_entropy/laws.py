@@ -21,8 +21,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 from .counter import (
     Kind,
     WindowQuery,
+    _sweep,
     finite_rate,
-    mean_distributions,
     occupied_windows,
     window_counts,
     window_range,
@@ -81,29 +81,31 @@ def check_domination(
     rests on.  The boundary conventions are imposed here; the ``boundary``
     field of the supplied windows is ignored.  Each swept distribution is
     summed once into prefix sums, and each window count is their
-    difference.
+    difference.  ``n_max`` must be at least 1 and ``windows`` nonempty.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not windows:
+        raise ValueError("need at least one window")
     betti_queries = [WindowQuery(q.c, q.delta, Kind.BETTI.boundary) for q in windows]
     critical_queries = [WindowQuery(q.c, q.delta, Kind.CRITICAL.boundary) for q in windows]
     violations: List[Violation] = []
-    checked = 0
-    for dist_c, dist_b in zip(
-        mean_distributions(spec, Kind.CRITICAL, n_max, cap=cap),
-        mean_distributions(spec, Kind.BETTI, n_max, cap=cap),
+    n = 0
+    for counts_c, counts_b in zip(
+        _sweep(spec, Kind.CRITICAL, n_max, cap), _sweep(spec, Kind.BETTI, n_max, cap)
     ):
-        below_c = list(accumulate(dist_c.counts, initial=0))
-        below_b = list(accumulate(dist_b.counts, initial=0))
+        n += 1
+        below_c = list(accumulate(counts_c, initial=0))
+        below_b = list(accumulate(counts_b, initial=0))
         for query, betti_query, critical_query in zip(windows, betti_queries, critical_queries):
-            checked += 1
-            span = window_range(betti_query, dist_b.grid_denom)
+            span = window_range(betti_query, n * spec.denom)
             betti = below_b[span.stop] - below_b[span.start]
-            span = window_range(critical_query, dist_c.grid_denom)
+            span = window_range(critical_query, n * spec.denom)
             critical = below_c[span.stop] - below_c[span.start]
             if betti > critical:
-                violations.append(
-                    Violation(_tag(n=dist_c.n, c=query.c, delta=query.delta), betti, critical)
-                )
-    return LawReport("betti_dominated_by_critical", checked, tuple(violations))
+                violations.append(Violation(_tag(n=n, c=query.c, delta=query.delta), betti, critical))
+        del below_c, below_b  # before the sweeps build step n + 1
+    return LawReport("betti_dominated_by_critical", n_max * len(windows), tuple(violations))
 
 
 def check_superadditivity(

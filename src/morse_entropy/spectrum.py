@@ -13,6 +13,8 @@ two counting fields as plain integers.  Floats are rejected on ingestion:
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
@@ -43,6 +45,12 @@ def as_rational(x: Union[int, str, Fraction]) -> Fraction:
         try:
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as exc:
+            limit = getattr(sys, "get_int_max_str_digits", int)()  # int()'s digit limit, 0 for none
+            if limit and re.search(rf"\d{{{limit + 1}}}", x):  # too long to echo
+                raise ValueError(
+                    f"cannot parse rational: over {limit} digits in a row, Python's limit for int();"
+                    " PYTHONINTMAXSTRDIGITS=0 lifts it"
+                ) from exc
             raise ValueError(f"cannot parse rational {x!r}") from exc
     raise ValueError(f"expected an exact rational, got {type(x).__name__}")
 

@@ -69,12 +69,14 @@ def _log_z(shift: float, masses: List[float]) -> float:
 
 
 def free_energy(spec: CriticalSpectrum, beta: float) -> float:
-    """log of the partition sum over critical values; F(0) = log p."""
-    return _log_z(*_boltzmann(*_atom_floats(spec), beta))
+    """log of the partition sum over critical values at a finite beta; F(0) = log p."""
+    return gibbs(spec, beta).free_energy
 
 
 def gibbs(spec: CriticalSpectrum, beta: float) -> GibbsState:
-    """Boltzmann distribution over atoms; concentrates on value 0 as beta grows."""
+    """Boltzmann distribution over atoms at a finite beta; concentrates on value 0 as it grows."""
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     shift, masses = _boltzmann(*_atom_floats(spec), beta)
     z = sum(masses)
     p = tuple(m / z for m in masses)

@@ -1,12 +1,13 @@
 """Independent brute-force references for the test suite.
 
-Nothing here touches the package's convolution or bisection code:
+Most of these touch no package counting or bisection code:
 distributions come from enumerating weighted atom tuples, constrained
 entropy maxima from scanning the feasible slice of the probability
-simplex.  Slow on purpose, trustworthy on purpose.  The exceptions are
-earlier package code kept as references for faster rewrites:
-:func:`full_sweep_check_fekete` reads every count from the rolling
-convolution sweep, which the package's check no longer uses, and
+simplex.  Slow on purpose, trustworthy on purpose.  Two instead keep a
+slower package route as the reference for a faster one:
+:func:`full_sweep_check_fekete` reads every count from the package's
+rolling convolution sweep ``counter._sweep``, which its Fekete check
+does not use, and
 :func:`per_step_legendre_epsilon` converts the atoms to floats at every
 Gibbs-mean evaluation, which the package's Legendre route no longer does.
 """
@@ -20,12 +21,11 @@ from morse_entropy import (
     LawReport,
     Violation,
     WindowQuery,
-    count_window,
     entry_multiset,
     finite_rate,
-    mean_distributions,
     window_sup_rate,
 )
+from morse_entropy.counter import _sweep, window_range
 from morse_entropy.laws import _MAX_PAIRS, _PAIR_OFFSETS
 
 
@@ -122,10 +122,12 @@ def full_sweep_check_fekete(spec, centres, delta, n_max, cap=None):
     delta = Fraction(delta)
     n_floor = math.floor(Fraction(2) / delta) + 1
     queries = [WindowQuery(centre, delta, Kind.BETTI.boundary) for centre in centres]
-    columns = zip(*(
-        [count_window(dist, query) for query in queries]
-        for dist in mean_distributions(spec, Kind.BETTI, n_max, cap=cap)
-    ))
+
+    def row(n, counts):
+        spans = (window_range(query, n * spec.denom) for query in queries)
+        return [sum(counts[span.start : span.stop]) for span in spans]
+
+    columns = zip(*(row(n, counts) for n, counts in enumerate(_sweep(spec, Kind.BETTI, n_max, cap), 1)))
     pairs = fekete_pairs(delta, n_max)
     entries = entry_multiset(spec)
     tol = 3.0 * math.log(n_max * spec.denom * spec.total_betti) / n_max

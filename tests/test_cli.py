@@ -406,6 +406,36 @@ def test_argument_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n-max", "0"], "n_max must be >= 1, got 0"),
+        (["--n-max", "-2", "--suite", "domination"], "n_max must be >= 1, got -2"),
+        (["--windows", "0"], "need at least one window"),
+    ],
+)
+def test_verify_refuses_a_domination_check_of_nothing(capsys, flags, message):
+    assert run(["verify", "--preset", "torus", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_rational_past_the_digit_limit_is_named_not_echoed(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        delta = "1/" + "7" * 5000
+        assert run(["count", "--preset", "torus", "--n", "8", "--c", "1/2", "--delta", delta]) == 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot parse rational")
+    assert "4300 digits" in captured.err and "PYTHONINTMAXSTRDIGITS=0" in captured.err
+    assert len(captured.err) < 300
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert run(["curve", "--help"]) == 0

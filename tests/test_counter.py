@@ -23,7 +23,6 @@ from morse_entropy import (
     count_window,
     finite_rate,
     mean_distribution,
-    mean_distributions,
     preset,
     random_spectrum,
     random_windows,
@@ -34,6 +33,7 @@ from morse_entropy.counter import (
     _convolve,
     _miller,
     _site_histogram,
+    _sweep,
     occupied_windows,
     window_counts,
     window_range,
@@ -198,20 +198,18 @@ def test_cap_rejects_before_computing():
     with pytest.raises(ResourceCapError):
         mean_distribution(CIRCLE, 1 << 30, Kind.CRITICAL)
     with pytest.raises(ResourceCapError):
-        next(mean_distributions(CIRCLE, Kind.CRITICAL, 1 << 30))
+        next(_sweep(CIRCLE, Kind.CRITICAL, 1 << 30, None))
 
 
 def _assert_three_way(spec, kind, n_max):
     """Miller recurrence, rolling sweep and tuple enumeration give one answer."""
-    swept = list(mean_distributions(spec, kind, n_max, cap=1 << 20))
-    assert [dist.n for dist in swept] == list(range(1, n_max + 1))
-    for dist in swept:
-        assert mean_distribution(spec, dist.n, kind, cap=1 << 20) == dist
-        expected = tuple_mean_counts(spec, dist.n, kind)
-        assert dist.counts == tuple(
-            expected.get(Fraction(s, dist.grid_denom), 0)
-            for s in range(dist.grid_denom + 1)
-        )
+    swept = list(_sweep(spec, kind, n_max, 1 << 20))
+    assert len(swept) == n_max
+    for n, counts in enumerate(swept, 1):
+        grid = n * spec.denom
+        assert mean_distribution(spec, n, kind, cap=1 << 20) == (n, grid, counts, kind)
+        expected = tuple_mean_counts(spec, n, kind)
+        assert counts == tuple(expected.get(Fraction(s, grid), 0) for s in range(grid + 1))
 
 
 def test_recurrence_sweep_and_enumeration_agree_on_presets():
@@ -255,7 +253,7 @@ def _assert_power_matches_sweep(site, n_max):
     counts = (1,)
     for n in range(1, n_max + 1):
         counts = _convolve(counts, site)
-        assert _miller(site, n) == counts, (site, n)
+        assert tuple(_miller(site, n)) == counts, (site, n)
 
 
 def test_miller_power_matches_the_convolution_sweep():
@@ -286,9 +284,10 @@ def _assert_occupied_matches_counts(spec, seed, n_max=60):
     for kind in Kind:
         occupied = occupied_windows(spec, kind, n_max, queries, cap=1 << 22)
         assert len(occupied) == n_max
-        swept = mean_distributions(spec, kind, n_max, cap=1 << 22)
-        for dist, row in zip(swept, occupied):
-            assert row == tuple(count_window(dist, query) >= 1 for query in queries), dist.n
+        swept = _sweep(spec, kind, n_max, 1 << 22)
+        for n, (counts, row) in enumerate(zip(swept, occupied), 1):
+            spans = [window_range(query, n * spec.denom) for query in queries]
+            assert row == tuple(sum(counts[s.start : s.stop]) >= 1 for s in spans), n
 
 
 def test_occupied_windows_match_counts_on_presets_and_bypassed_spectra():
@@ -493,9 +492,9 @@ def test_window_counts_run_from_the_nearer_grid_end(monkeypatch):
     sites = []
     miller = counter._miller
 
-    def recorded(site, n, cuts=None):
+    def recorded(site, n):
         sites.append(site)
-        return miller(site, n, cuts)
+        return miller(site, n)
 
     monkeypatch.setattr(counter, "_miller", recorded)
     spec = random_spectrum(random.Random(4))

@@ -1,6 +1,7 @@
-"""The package's record types, and what importing the CLI loads."""
+"""Record types, what importing the CLI loads, and what the benchmark probe calls."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -180,3 +181,19 @@ def test_cli_import_loads_every_module_and_no_dataclasses_inspect_or_json():
     loaded = set(proc.stdout.split())
     assert {"dataclasses", "inspect", "json"}.isdisjoint(loaded)
     assert {f"morse_entropy.{module}" for module in _traced_modules()} <= loaded
+
+
+def test_bench_probe_child_traces_every_traced_function(tmp_path):
+    # The benchmark's layer probe calls the package API by name; a rename
+    # there would crash every traced child.
+    trace = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), "--trace", str(trace), "probe"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(trace.read_text(encoding="utf-8"))["spans"]
+    traced = {f"{module}.{name}" for module, names in _traced_modules().items() for name in names}
+    assert {span[1] for span in spans} == traced

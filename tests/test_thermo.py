@@ -52,6 +52,14 @@ def test_gibbs_concentrates_on_the_bottom():
     assert state.mean_value(TORUS) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_free_energy_and_gibbs_reject_a_nonfinite_beta(beta):
+    with pytest.raises(ValueError, match=f"beta must be finite, got {beta}"):
+        free_energy(TORUS, beta)
+    with pytest.raises(ValueError, match=f"beta must be finite, got {beta}"):
+        gibbs(TORUS, beta)
+
+
 def test_ground_mass_grows_with_beta():
     for spec in (CIRCLE, TORUS, random_spectrum(random.Random(3))):
         masses = [gibbs(spec, beta).p[0] for beta in range(-5, 21)]
