@@ -334,6 +334,8 @@ def _parse_betas(text: str) -> List[float]:
 def _cmd_thermo(args) -> int:
     spec = _load_spectrum(args)
     betas = _parse_betas(args.beta)
+    # a bad Laplace grid is bad input: reject it before any row is printed
+    report = laplace_check(betas, args.quad_points) if args.laplace else None
     print("beta,free_energy,gibbs_mean,mass_at_value_0")
     for beta in betas:
         state = gibbs(spec, beta)
@@ -347,8 +349,7 @@ def _cmd_thermo(args) -> int:
                 )
             )
         )
-    if args.laplace:
-        report = laplace_check(betas, args.quad_points)
+    if report is not None:
         print("beta,g,points")
         for row in report.rows:
             print(",".join((_fmt12(row.beta), _fmt12(row.g), str(row.points))))

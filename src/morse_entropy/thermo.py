@@ -4,10 +4,12 @@ The partition sum over a spectrum's critical values, Z(beta) =
 sum_i m_i exp(-beta v_i), carries the same information as the entropy
 maximiser in :mod:`.rate` through the Legendre pairing
 ``epsilon(c) = inf_beta (log Z(beta) + beta c)``.  This module keeps its
-own bisection over the Gibbs mean, sharing no solver code with
-:mod:`.rate`, so agreement with the maxent solver is a genuine two-route
-check and not a function compared with itself.  A solve converts the
-atoms to floats once, not at every Gibbs-mean step.
+own root-find in beta, an Illinois-modified regula falsi on the Gibbs
+mean, sharing no solver code with :mod:`.rate`, so agreement with the
+maxent solver is a genuine two-route check and not a function compared
+with itself.  A solve measures the atoms from the hull edge nearer its
+target and converts them to floats once, not at every Gibbs-mean step,
+so the result is accurate relative to its size at both edges.
 
 The continuum analogue is exercised on the circle with height
 ``f0(theta) = (1 - cos theta) / 2``: averaging exp(-beta f0) over the
@@ -28,11 +30,12 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 from .rate import ConvergenceError
 from .spectrum import CriticalSpectrum
 
-#: The Gibbs-mean bisection stops once the mean is this close to the
-#: target; kept apart from the maxent solver's stopping rule so the two
-#: routes fail independently.
-MEAN_TOL = 1e-12
-#: Iteration cap of that bisection; hitting it raises ConvergenceError.
+#: The Gibbs-mean regula falsi stops once the mean is within this much
+#: of the target, relative to the target's distance from the nearer hull
+#: edge (or once its bracket stops shrinking); kept apart from the maxent
+#: solver's stopping rule so the two routes fail independently.
+MEAN_RTOL = 1e-16
+#: Iteration cap of that regula falsi; hitting it raises ConvergenceError.
 MAX_ITERATIONS = 200
 #: Quadrature refinement stops when doubling the grid moves Z by less
 #: than this relative amount.
@@ -89,12 +92,16 @@ def _gibbs_mean(log_m: List[float], fv: List[float], beta: float) -> float:
 
 
 def legendre_epsilon(spec: CriticalSpectrum, c: Union[Fraction, float]) -> float:
-    """inf over beta of F(beta) + beta*c, by bisection on the Gibbs mean.
+    """inf over beta of F(beta) + beta*c, by regula falsi on the Gibbs mean.
 
-    The Gibbs mean decreases strictly in beta from the top value to the
-    bottom one, so the minimiser is the beta matching the mean to c.
-    Targets at the extreme values short-circuit to log(multiplicity
-    there); targets outside [0, 1] raise ValueError.
+    Values and target are measured from the hull edge nearer c, which
+    leaves the infimum unchanged.  The Gibbs mean then decreases strictly
+    in beta from the far edge to 0, so the minimiser is the beta matching
+    the mean to the target d; the Illinois-modified regula falsi stops
+    once the mean is within 1e-16*d of it or the bracket stops
+    shrinking.  Targets at the extreme values short-circuit to
+    log(multiplicity there); targets outside the value hull raise
+    ValueError.
     """
     v_lo, v_hi = spec.atoms[0].value, spec.atoms[-1].value
     if not v_lo <= c <= v_hi:
@@ -104,35 +111,57 @@ def legendre_epsilon(spec: CriticalSpectrum, c: Union[Fraction, float]) -> float
     if c == v_hi:
         return math.log(spec.atoms[-1].multiplicity)
 
-    ct = float(c)
-    atoms = _atom_floats(spec)
-    # Gibbs mean decreases in beta: expand until [lo, hi] straddles ct.
+    # Measure from the nearer edge, exactly in rationals and rounded once,
+    # so a target a hair inside either edge keeps its relative precision.
+    c = Fraction(c)
+    below, above = c - v_lo, v_hi - c
+    log_m = [math.log(a.multiplicity) for a in spec.atoms]
+    if above < below:
+        fv, d = [float(v_hi - a.value) for a in spec.atoms], float(above)
+    else:
+        fv, d = [float(a.value - v_lo) for a in spec.atoms], float(below)
+    # Gibbs mean decreases in beta: expand until [lo, hi] straddles d.
     lo, hi = -1.0, 1.0
-    mean_lo = _gibbs_mean(*atoms, lo)
-    mean_hi = _gibbs_mean(*atoms, hi)
+    f_lo = _gibbs_mean(log_m, fv, lo) - d
+    f_hi = _gibbs_mean(log_m, fv, hi) - d
     for _ in range(60):
-        if mean_lo >= ct:
+        if f_lo >= 0.0:
             break
         lo *= 2.0
-        mean_lo = _gibbs_mean(*atoms, lo)
+        f_lo = _gibbs_mean(log_m, fv, lo) - d
     for _ in range(60):
-        if mean_hi <= ct:
+        if f_hi <= 0.0:
             break
         hi *= 2.0
-        mean_hi = _gibbs_mean(*atoms, hi)
+        f_hi = _gibbs_mean(log_m, fv, hi) - d
 
-    for iteration in range(MAX_ITERATIONS):
-        beta = 0.5 * (lo + hi)
-        mean = _gibbs_mean(*atoms, beta)
-        if abs(mean - ct) <= MEAN_TOL:
-            return _log_z(*_boltzmann(*atoms, beta)) + beta * ct
-        if mean > ct:
-            lo = beta
+    tol = MEAN_RTOL * d
+    kept = 0  # side that kept its endpoint last step: -1 lo, 1 hi
+    for _ in range(MAX_ITERATIONS):
+        beta = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < beta < hi:
+            # the secant lands on an end: the root is within rounding of it
+            beta = hi if beta >= hi else lo
+            break
+        f = _gibbs_mean(log_m, fv, beta) - d
+        if abs(f) <= tol:
+            break
+        if f > 0.0:
+            lo, f_lo = beta, f
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
         else:
-            hi = beta
-    raise ConvergenceError(
-        f"Gibbs-mean bisection did not reach {MEAN_TOL} within {MAX_ITERATIONS} iterations"
-    )
+            hi, f_hi = beta, f
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+    else:
+        raise ConvergenceError(
+            f"Gibbs-mean regula falsi did not reach {MEAN_RTOL} relative "
+            f"within {MAX_ITERATIONS} iterations"
+        )
+    return _log_z(*_boltzmann(log_m, fv, beta)) + beta * d
 
 
 def circle_height(theta: float) -> float:

@@ -1,15 +1,13 @@
 """Independent brute-force references for the test suite.
 
-Most of these touch no package counting or bisection code:
+Most of these touch no package counting or root-finding code:
 distributions come from enumerating weighted atom tuples, constrained
 entropy maxima from scanning the feasible slice of the probability
-simplex.  Slow on purpose, trustworthy on purpose.  Two instead keep a
+simplex.  Slow on purpose, trustworthy on purpose.  One instead keeps a
 slower package route as the reference for a faster one:
 :func:`full_sweep_check_fekete` reads every count from the package's
 rolling convolution sweep ``counter._sweep``, which its Fekete check
-does not use, and
-:func:`per_step_legendre_epsilon` converts the atoms to floats at every
-Gibbs-mean evaluation, which the package's Legendre route no longer does.
+does not use.
 """
 
 import itertools
@@ -60,6 +58,12 @@ def brute_window_count(spec, n, kind, c, delta, half_open):
             continue
         total += count
     return total
+
+
+def edge_binary_entropy(c):
+    """Binary entropy from the nearer edge: log1p keeps it relatively accurate near c = 1."""
+    t = float(min(c, 1 - c))
+    return -t * math.log(t) - (1.0 - t) * math.log1p(-t)
 
 
 def _objective(p, weights):
@@ -173,56 +177,3 @@ def full_sweep_check_fekete(spec, centres, delta, n_max, cap=None):
                 )
             )
     return LawReport("fekete_limit", checked, tuple(violations))
-
-
-def _per_step_boltzmann(spec, beta):
-    scores = [math.log(a.multiplicity) - beta * float(a.value) for a in spec.atoms]
-    shift = max(scores)
-    return shift, [math.exp(s - shift) for s in scores]
-
-
-def _per_step_free_energy(spec, beta):
-    shift, masses = _per_step_boltzmann(spec, beta)
-    return shift + math.log1p(sum(sorted(masses)[:-1]))
-
-
-def _per_step_gibbs_mean(spec, beta):
-    _, masses = _per_step_boltzmann(spec, beta)
-    return sum(m * float(a.value) for m, a in zip(masses, spec.atoms)) / sum(masses)
-
-
-def per_step_legendre_epsilon(spec, c, mean_tol=1e-12, max_iterations=200):
-    """``legendre_epsilon`` as it was when every Gibbs-mean step re-read the atoms.
-
-    Same bracket expansion, bisection and stopping rule; returns None
-    where the package raises ConvergenceError.
-    """
-    v_lo, v_hi = spec.atoms[0].value, spec.atoms[-1].value
-    if c == v_lo:
-        return math.log(spec.atoms[0].multiplicity)
-    if c == v_hi:
-        return math.log(spec.atoms[-1].multiplicity)
-    ct = float(c)
-    lo, hi = -1.0, 1.0
-    mean_lo = _per_step_gibbs_mean(spec, lo)
-    mean_hi = _per_step_gibbs_mean(spec, hi)
-    for _ in range(60):
-        if mean_lo >= ct:
-            break
-        lo *= 2.0
-        mean_lo = _per_step_gibbs_mean(spec, lo)
-    for _ in range(60):
-        if mean_hi <= ct:
-            break
-        hi *= 2.0
-        mean_hi = _per_step_gibbs_mean(spec, hi)
-    for _ in range(max_iterations):
-        beta = 0.5 * (lo + hi)
-        mean = _per_step_gibbs_mean(spec, beta)
-        if abs(mean - ct) <= mean_tol:
-            return _per_step_free_energy(spec, beta) + beta * ct
-        if mean > ct:
-            lo = beta
-        else:
-            hi = beta
-    return None

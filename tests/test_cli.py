@@ -522,6 +522,43 @@ def test_thermo_laplace_rejects_nonpositive_beta(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--beta", "0"], "beta grid must be positive"),
+        (["--beta", "10,5"], "beta grid must be strictly increasing"),
+        (["--beta", "10,10"], "beta grid must be strictly increasing"),
+        (["--beta", "10", "--quad-points", "0"], "need at least 256 quadrature points"),
+    ],
+    ids=["zero", "decreasing", "repeated", "quad_points"],
+)
+def test_thermo_laplace_rejects_a_bad_grid_before_printing(capsys, args, message):
+    assert run(["thermo", "--preset", "circle", *args, "--laplace"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# thermo stdout is byte-stable, including the Laplace table
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["--preset", "circle", "--beta", "10,100,1000,10000,100000,1000000", "--laplace"],
+            "159199233b299b651875b55beed757d83de26d7ba8ea6214dd78e23da6f36d14",
+        ),
+        (
+            ["--preset", "torus", "--beta=-700,-40,-1.5,0,1/3,2.5,60,745,1e6"],
+            "8b6a1a873cdbf1695927bd0026a0dd20375479e13304d8001f1e6153e418c580",
+        ),
+    ],
+    ids=["circle_laplace", "torus_signed_betas"],
+)
+def test_thermo_stdout_is_pinned(capsys, args, digest):
+    assert run(["thermo", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
 # nan, inf and an overflowing float or rational are bad input, with or
 # without --laplace; before any row is printed.
 NONFINITE_BETAS = ("nan", "inf", "-inf", "1e400", "10,nan", "1" + "0" * 400 + "/1")

@@ -27,7 +27,7 @@ from morse_entropy import (
     window_sup_rate,
 )
 from morse_entropy import rate as rate_module
-from _oracles import scan_maxent_rate
+from _oracles import edge_binary_entropy, scan_maxent_rate
 
 CIRCLE = preset("circle")
 TORUS = preset("torus")
@@ -38,12 +38,6 @@ def binary_entropy(t: float) -> float:
     if t in (0.0, 1.0):
         return 0.0
     return -t * math.log(t) - (1.0 - t) * math.log(1.0 - t)
-
-
-def edge_binary_entropy(c: Fraction) -> float:
-    """Binary entropy from the nearer edge, relatively accurate for tiny c."""
-    t = float(min(c, 1 - c))
-    return -t * math.log(t) - (1.0 - t) * math.log1p(-t)
 
 
 def test_problem_validation():

@@ -5,21 +5,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morse_entropy import (
     ConvergenceError,
+    MaxEntProblem,
     circle_height,
     epsilon_curve,
     free_energy,
     gibbs,
     laplace_check,
     legendre_epsilon,
+    maxent_rate,
     preset,
     random_spectrum,
     validate_spectrum,
 )
 from morse_entropy import thermo as thermo_module
-from _oracles import per_step_legendre_epsilon
+from _oracles import edge_binary_entropy
 
 CIRCLE = preset("circle")
 TORUS = preset("torus")
@@ -115,13 +119,56 @@ def test_legendre_agrees_with_the_maxent_route():
             assert abs(legendre_epsilon(spec, c) - rate) <= 1e-8
 
 
-def test_legendre_equals_the_per_step_conversion_bit_for_bit():
-    specs = [CIRCLE, TORUS] + [random_spectrum(random.Random(seed)) for seed in range(6)]
-    edge = [Fraction(1, 10**k) for k in range(1, 16)]
-    targets = [Fraction(j, 100) for j in range(101)] + edge + [1 - c for c in edge]
-    for spec in specs:
-        for c in targets:
-            assert legendre_epsilon(spec, c) == per_step_legendre_epsilon(spec, c), (spec, c)
+def maxent_epsilon(spec, c):
+    weights = tuple(float(m) for m in spec.multiplicities())
+    return maxent_rate(MaxEntProblem(spec.values(), weights, c)).rate
+
+
+BOTTOM_EDGE = [Fraction(1, 10**k) for k in range(1, 16)]
+EDGE_TARGETS = BOTTOM_EDGE + [1 - c for c in BOTTOM_EDGE]
+THREE_ONE = validate_spectrum([(0, 3, 1), (1, 1, 1)])
+
+
+@pytest.mark.parametrize(
+    "spec, closed_form",
+    [
+        (CIRCLE, edge_binary_entropy),
+        (TORUS, lambda c: 2.0 * edge_binary_entropy(c)),
+        # weights (3, 1) on (0, 1): H(c) + (1 - c) log 3, tiny only near c = 1
+        (THREE_ONE, lambda c: edge_binary_entropy(c) + float(1 - c) * math.log(3.0)),
+    ],
+    ids=["circle", "torus", "weights_3_1"],
+)
+def test_both_routes_match_the_closed_form_at_both_edges(spec, closed_form):
+    # the rate at c = 1e-15 is 3.5e-14 on the circle: only a relative
+    # stop, measured from the nearer edge, resolves it
+    for c in EDGE_TARGETS:
+        want = closed_form(c)
+        assert legendre_epsilon(spec, c) == pytest.approx(want, rel=1e-9, abs=0.0), c
+        assert maxent_epsilon(spec, c) == pytest.approx(want, rel=1e-9, abs=0.0), c
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), c=st.sampled_from(EDGE_TARGETS))
+def test_routes_agree_relatively_at_edge_targets_of_random_spectra(seed, c):
+    spec = random_spectrum(random.Random(seed))
+    assert legendre_epsilon(spec, c) == pytest.approx(maxent_epsilon(spec, c), rel=1e-9, abs=0.0)
+
+
+def test_legendre_takes_few_gibbs_mean_evaluations_along_a_grid(monkeypatch):
+    # guards the work per solve, not its time: a bisection to an absolute
+    # 1e-12 on the mean took 39.6 here
+    mean = thermo_module._gibbs_mean
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return mean(*args)
+
+    monkeypatch.setattr(thermo_module, "_gibbs_mean", counting)
+    for j in range(1, 1000):
+        legendre_epsilon(TORUS, Fraction(j, 1000))
+    assert len(calls) / 999 <= 16
 
 
 def test_legendre_reports_non_convergence(monkeypatch):
