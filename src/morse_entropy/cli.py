@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 bad input, 2 a checked law reported violations,
 3 a numeric routine failed to converge, 4 a resource limit was exceeded:
-the cap, or Python's digit limit for printing a count
-(PYTHONINTMAXSTRDIGITS=0 lifts it).
-The cap (largest sum grid n * denom) defaults to 16384 and can be set
-with --cap or the MORSE_ENTROPY_CAP environment variable; the flag wins.
+the cap, a curve grid over 16384 points, or Python's digit limit for
+printing a count (PYTHONINTMAXSTRDIGITS=0 lifts it).
+The cap (largest sum grid n * denom) defaults to 16384 and is set only
+with --cap.
 
 Curve output is byte-stable: a fixed header ``c,epsilon,betti,log_p_bound``,
 12 significant digits, ``-inf`` spelled literally, and newline-terminated
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import random
 import sys
 from fractions import Fraction
@@ -161,9 +160,6 @@ def _build_parser() -> _Parser:
     )
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--n-max", type=int, default=12, help="largest n for domination sweeps")
-    p_verify.add_argument("--windows", type=int, default=25, help="windows per domination sweep")
-    p_verify.add_argument("--instances", type=int, default=50, help="superadditivity draws")
-    p_verify.add_argument("--grid-points", type=int, default=21, help="grid for the bounds check")
     p_verify.add_argument("--fekete-n-max", type=int, default=64)
     p_verify.add_argument("--cap", type=int, help="maximum sum grid n*denom")
 
@@ -171,21 +167,8 @@ def _build_parser() -> _Parser:
     add_source(p_thermo)
     p_thermo.add_argument("--beta", required=True, help="comma-separated list, e.g. 0,1,10")
     p_thermo.add_argument("--laplace", action="store_true", help="also run the circle quadrature check")
-    p_thermo.add_argument("--quad-points", type=int, default=256)
 
     return parser
-
-
-def _resolve_cap(flag_value: Optional[int]) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("MORSE_ENTROPY_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"MORSE_ENTROPY_CAP must be an integer, got {env!r}") from None
-    return DEFAULT_CAP
 
 
 def _load_spectrum(args) -> CriticalSpectrum:
@@ -242,6 +225,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    if args.grid > DEFAULT_CAP:
+        raise ResourceCapError(f"curve grid of {args.grid} points exceeds the limit {DEFAULT_CAP}")
     spec = _load_spectrum(args)
     eps = epsilon_curve(spec, args.grid) if args.kind in ("both", "epsilon") else None
     if args.kind == "both" and all(a.betti_weight == a.multiplicity for a in spec.atoms):
@@ -256,12 +241,11 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    cap = _resolve_cap(args.cap)
     spec = _load_spectrum(args)
     kind = Kind(args.kind)
     boundary = kind.boundary if args.boundary is None else Boundary(args.boundary)
     query = WindowQuery(as_rational(args.c), as_rational(args.delta), boundary)
-    (count,) = window_counts(spec, args.n, kind, [query], cap=cap)
+    (count,) = window_counts(spec, args.n, kind, [query], cap=args.cap)
     try:
         text = str(count)
     except ValueError:  # CPython's int-to-str digit limit
@@ -274,30 +258,29 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cap = _resolve_cap(args.cap)
     spec = _load_spectrum(args)
     rng = random.Random(args.seed)
     reports: List[LawReport] = []
 
     if args.suite in ("all", "domination"):
         reports.append(
-            check_domination(spec, args.n_max, random_windows(rng, args.windows), cap=cap)
+            check_domination(spec, args.n_max, random_windows(rng, 25), cap=args.cap)
         )
     if args.suite in ("all", "superadditivity"):
         draws = ([], [], [], [], [])  # n1, n2, c1, c2, delta per draw
-        for _ in range(args.instances):
+        for _ in range(50):
             n1, n2 = rng.randint(1, 8), rng.randint(1, 8)
             c1 = Fraction(rng.randint(0, 60), 60)
             c2 = Fraction(rng.randint(0, 60), 60)
             delta = Fraction(rng.randint(1, 20), 40)
             for column, value in zip(draws, (n1, n2, c1, c2, delta)):
                 column.append(value)
-        reports.append(check_superadditivity(spec, *draws, cap=cap))
+        reports.append(check_superadditivity(spec, *draws, cap=args.cap))
     if args.suite in ("all", "fekete"):
         centres = (Fraction(1, 2), Fraction(1, 4))
-        reports.append(check_fekete(spec, centres, Fraction(1, 10), args.fekete_n_max, cap=cap))
+        reports.append(check_fekete(spec, centres, Fraction(1, 10), args.fekete_n_max, cap=args.cap))
     if args.suite in ("all", "bounds"):
-        reports.append(check_bounds_and_max(spec, args.grid_points))
+        reports.append(check_bounds_and_max(spec, 21))
 
     failed = False
     for report in reports:
@@ -335,7 +318,7 @@ def _cmd_thermo(args) -> int:
     spec = _load_spectrum(args)
     betas = _parse_betas(args.beta)
     # a bad Laplace grid is bad input: reject it before any row is printed
-    report = laplace_check(betas, args.quad_points) if args.laplace else None
+    report = laplace_check(betas) if args.laplace else None
     print("beta,free_energy,gibbs_mean,mass_at_value_0")
     for beta in betas:
         state = gibbs(spec, beta)

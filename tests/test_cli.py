@@ -1,5 +1,6 @@
-"""End-to-end CLI behaviour: output formats, exit codes, cap resolution."""
+"""End-to-end CLI behaviour: output formats, exit codes, size bounds."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -202,9 +203,20 @@ def test_curve_json_single_kind(capsys):
     assert payload["epsilon"][2] == pytest.approx(float(LOG2), abs=1e-11)
 
 
-def test_curve_grid_validation(capsys):
+def test_curve_grid_validation(tmp_path, capsys):
     assert run(["curve", "--preset", "circle", "--grid", "1"]) == 1
     assert "error" in capsys.readouterr().err
+    # the grid is bounded before the spectrum is read, so a missing file
+    # still exits 4
+    missing = str(tmp_path / "missing.json")
+    for source in (["--preset", "torus"], ["--spectrum-file", missing]):
+        for grid in ("16385", "1000000000000"):
+            assert run(["curve", *source, "--grid", grid]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: curve grid of {grid} points exceeds the limit 16384\n"
+    assert run(["curve", "--preset", "torus", "--grid", "16384"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 16385
 
 
 def test_emit_curve_requires_matching_grids():
@@ -247,18 +259,6 @@ def test_count_cap_flag(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_cap_environment_variable(capsys, monkeypatch):
-    monkeypatch.setenv("MORSE_ENTROPY_CAP", "50")
-    assert run(
-        ["count", "--preset", "circle", "--n", "100", "--c", "1/2", "--delta", "1/4"]
-    ) == 4
-    # the flag wins over the environment
-    assert run(
-        ["count", "--preset", "circle", "--n", "100", "--c", "1/2", "--delta", "1/4", "--cap", "200"]
-    ) == 0
-    capsys.readouterr()
-
-
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int-to-str digit limit"
 )
@@ -285,45 +285,76 @@ def test_count_too_long_to_print_exits_four(capsys):
         sys.set_int_max_str_digits(limit)
 
 
-def test_cap_environment_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("MORSE_ENTROPY_CAP", "plenty")
-    assert run(
-        ["count", "--preset", "circle", "--n", "2", "--c", "1/2", "--delta", "1/4"]
-    ) == 1
-    assert "MORSE_ENTROPY_CAP" in capsys.readouterr().err
+# Every int option of the CLI, with what bounds the work it asks for.
+# An option missing here fails test_every_int_option_is_bounded; the
+# curve grid limit is tested by test_curve_grid_validation.
+INT_OPTION_BOUNDS = {
+    ("count", "--n"): "cap",
+    ("verify", "--n-max"): "cap",
+    ("verify", "--fekete-n-max"): "cap",
+    ("curve", "--grid"): "curve grid limit",
+    ("count", "--cap"): "the user's own bound",
+    ("verify", "--cap"): "the user's own bound",
+    ("verify", "--seed"): "harmless: it only seeds the drawn windows",
+}
+
+BASE_ARGS = {
+    "count": ["count", "--preset", "torus", "--c", "1/2", "--delta", "1/16"],
+    "verify": ["verify", "--preset", "torus"],
+}
+
+
+def _int_options():
+    parser = cli_module._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.type is int:
+                yield command, action.option_strings[0]
+
+
+def test_every_int_option_is_bounded():
+    assert set(_int_options()) == set(INT_OPTION_BOUNDS)
 
 
 @pytest.mark.parametrize(
-    "args",
-    [
-        ["curve", "--preset", "torus", "--grid", "11"],
-        ["thermo", "--preset", "torus", "--beta", "0,1,20"],
-        ["spectrum", "validate", "--preset", "torus"],
-    ],
-    ids=lambda args: args[0],
+    "command, option",
+    [key for key, bound in INT_OPTION_BOUNDS.items() if bound == "cap"],
 )
-def test_commands_without_cap_ignore_cap_environment(capsys, monkeypatch, args):
-    assert run(args) == 0
-    want = capsys.readouterr()
-    monkeypatch.setenv("MORSE_ENTROPY_CAP", "plenty")
-    assert run(args) == 0
-    assert capsys.readouterr() == want
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["verify"],
-        ["count", "--n", "2", "--c", "1/2", "--delta", "1/4"],
-    ],
-    ids=lambda args: args[0],
-)
-def test_cap_environment_is_checked_before_the_spectrum_file(tmp_path, capsys, monkeypatch, args):
-    monkeypatch.setenv("MORSE_ENTROPY_CAP", "plenty")
-    assert run([*args, "--spectrum-file", str(tmp_path / "missing.json")]) == 1
+def test_cap_bounded_int_options_refuse_a_huge_value(capsys, command, option):
+    assert run([*BASE_ARGS[command], option, "1000000000000"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: MORSE_ENTROPY_CAP must be an integer")
+    assert captured.err.startswith("error:") and "16384" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [key for key, bound in INT_OPTION_BOUNDS.items() if bound == "the user's own bound"],
+)
+def test_a_small_cap_refuses_the_default_work(capsys, command, option):
+    n = ["--n", "8"] if command == "count" else []
+    assert run([*BASE_ARGS[command], *n, option, "8"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: sum grid") and captured.err.endswith("exceeds cap 8\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--preset", "torus", "--windows", "10"],
+        ["verify", "--preset", "torus", "--instances", "10"],
+        ["verify", "--preset", "torus", "--suite", "bounds", "--grid-points", "10"],
+        ["thermo", "--preset", "circle", "--beta", "10", "--laplace", "--quad-points", "256"],
+    ],
+    ids=["windows", "instances", "grid_points", "quad_points"],
+)
+def test_removed_size_flags_are_argument_errors(capsys, args):
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unrecognized arguments:")
 
 
 def test_readme_examples_cover_every_command():
@@ -411,7 +442,6 @@ def test_argument_errors_exit_one(capsys):
     [
         (["--n-max", "0"], "n_max must be >= 1, got 0"),
         (["--n-max", "-2", "--suite", "domination"], "n_max must be >= 1, got -2"),
-        (["--windows", "0"], "need at least one window"),
     ],
 )
 def test_verify_refuses_a_domination_check_of_nothing(capsys, flags, message):
@@ -449,7 +479,7 @@ def test_verify_bounds_suite(capsys):
 
 
 def test_verify_all_on_torus(capsys):
-    assert run(["verify", "--preset", "torus", "--n-max", "6", "--windows", "10", "--instances", "10"]) == 0
+    assert run(["verify", "--preset", "torus", "--n-max", "6"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines] == [
         "betti_dominated_by_critical",
@@ -528,9 +558,8 @@ def test_thermo_laplace_rejects_nonpositive_beta(capsys):
         (["--beta", "0"], "beta grid must be positive"),
         (["--beta", "10,5"], "beta grid must be strictly increasing"),
         (["--beta", "10,10"], "beta grid must be strictly increasing"),
-        (["--beta", "10", "--quad-points", "0"], "need at least 256 quadrature points"),
     ],
-    ids=["zero", "decreasing", "repeated", "quad_points"],
+    ids=["zero", "decreasing", "repeated"],
 )
 def test_thermo_laplace_rejects_a_bad_grid_before_printing(capsys, args, message):
     assert run(["thermo", "--preset", "circle", *args, "--laplace"]) == 1
