@@ -12,11 +12,14 @@ is inactive and the curve peaks at ``log(sum of weights)``.
 
 A curve validates its :class:`MaxEntProblem` family once and re-targets it
 per point.  The family also holds what every solve shares: its lam = 0
-evaluation, which is each target's first Newton step, and its hull ends as
-integer numerators over a common denominator, so an exact target is
-placed and measured with integer arithmetic.  A family that is its own
-mirror image about 1/2 gives rate(1 - c) = rate(c) bit for bit, so a curve
-over such a family solves only the points with c <= 1/2.
+evaluation, which is the first Newton step of every solve started there,
+and its hull ends as integer numerators over a common denominator, so an
+exact target is placed and measured with integer arithmetic.  A curve
+solves by continuation: it walks each half of the grid in from its own
+hull edge and starts each solve at the multiplier extrapolated from the
+points before it.  A family that is its own mirror image about 1/2 gives
+rate(1 - c) = rate(c) bit for bit, so a curve over such a family solves
+only the points with c <= 1/2.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ _LAM_RTOL = 1e-15
 #: max(1, |lam|) from lam, so a step taken where the mean is nearly flat
 #: cannot run off to where every mass but one underflows.
 _STEP_GROWTH = 8.0
+
+#: Weights of the last 0-3 converged multipliers, newest first, in a walk's
+#: starting multiplier: the polynomial through them extrapolated one step.
+_EXTRAPOLATE = ((), (1,), (2, -1), (3, -3, 1))
 
 KIND_EPSILON = "epsilon"
 KIND_BETTI = "betti"
@@ -59,9 +66,10 @@ class MaxEntProblem(
 
     The family keeps, per hull edge, its values as floats measured from that
     edge, the log weights to match and the family evaluated there at
-    lam = 0, where every Newton solve starts.  It also keeps the two hull
-    ends as integer numerators over their least common denominator.  These
-    are not fields, so equality, hashing and the repr ignore them.
+    lam = 0, where a Newton solve starts unless it is given another
+    multiplier.  It also keeps the two hull ends as integer numerators over
+    their least common denominator.  These are not fields, so equality,
+    hashing and the repr ignore them.
     :meth:`at` re-targets it without redoing any of this.
     """
 
@@ -112,7 +120,9 @@ class MaxEntSolution(NamedTuple):
     ``rate`` equals H(p) + sum p_i log w_i for the returned p, and the
     envelope identity gives d(rate)/dc = -lam along the curve.  Boundary
     targets are solved exactly by a point mass, reported with lam = -inf
-    (left end) or +inf (right end).
+    (left end) or +inf (right end), in 0 iterations.  An interior solve's
+    ``iterations`` is one more than the family evaluations it made: the
+    shared lam = 0 evaluation counts once, as a start elsewhere does.
     """
 
     lam: float
@@ -144,24 +154,31 @@ def _point_mass(problem: MaxEntProblem, index: int, lam: float) -> MaxEntSolutio
     return MaxEntSolution(lam=lam, p=p, rate=rate, converged=True, iterations=0)
 
 
-def maxent_rate(problem: MaxEntProblem) -> MaxEntSolution:
+def maxent_rate(problem: MaxEntProblem, start: float = 0.0) -> MaxEntSolution:
     """Maximise H(p) + sum p_i log w_i subject to mean p = target.
 
     Interior targets are solved by Newton's method on the family mean in
-    lam, starting from lam = 0 with the family variance as the slope.  The
-    signs of mean - target bracket the root; a Newton step that would leave
-    the bracket falls back to bisection, and while one side is still open
-    it is closed at a fixed multiple of max(1, |lam|) from lam, so the
-    bracket expands geometrically.  Values are measured from the hull edge
-    nearer the target, so rates close to either edge keep their relative
-    accuracy.  Targets at the hull edge short-circuit to the exact
+    lam, starting from lam = ``start`` with the family variance as the
+    slope.  The signs of mean - target bracket the root; a Newton step that
+    would leave the bracket falls back to bisection, and while one side is
+    still open it is closed at a fixed multiple of max(1, |lam|) from lam,
+    so the bracket expands geometrically.  Values are measured from the
+    hull edge nearer the target, so rates close to either edge keep their
+    relative accuracy.  Targets at the hull edge short-circuit to the exact
     point-mass optimum.  Targets outside [v_min, v_max] raise ValueError.
+
+    ``start`` is a multiplier in the frame of :attr:`MaxEntSolution.lam`,
+    so a neighbouring target's ``lam`` is a warm start.  At 0 the solve
+    reuses the family's shared lam = 0 evaluation; any other start costs
+    one evaluation there.  A non-finite start raises ValueError.
 
     The target is read exactly: an int or Fraction as itself, a float as
     the binary fraction it holds (so 0.1 is a hair above 1/10).  Its
     distance from the nearer edge is that exact difference, rounded once
     to the nearest float.
     """
+    if not math.isfinite(start):
+        raise ValueError(f"start {start} is not a finite multiplier")
     values = problem.values
     c = problem.target
     try:
@@ -190,8 +207,12 @@ def maxent_rate(problem: MaxEntProblem) -> MaxEntSolution:
     ct = (hi_num - num if order < 0 else num - lo_num) / (den * denom)
 
     lam, lo, hi = 0.0, -math.inf, math.inf
-    converged = False
     iterations = 0
+    if start:
+        lam = start * order
+        mean, var, log_z, masses, z = _family(fv, log_w, lam)
+        iterations = 1
+    converged = False
     while True:
         iterations += 1
         if mean == ct:
@@ -254,13 +275,17 @@ class Curve(
 def _curve(values, weights, grid_points: int, kind: str) -> Curve:
     """Rates on the grid j / (grid_points - 1), one family for every point.
 
-    Every solve re-targets the one family, so it starts from the family's
-    shared lam = 0 evaluation and places its exact grid target with
-    integer arithmetic.  A family that is its own mirror image about 1/2
-    (values v and 1 - v with equal weights) gives rate(1 - c) = rate(c)
-    bit for bit, because ``maxent_rate`` measures both targets from their
-    nearer edge, so only the points with c <= 1/2 are solved and the rest
-    are copied.
+    Every solve re-targets the one family and places its exact grid target
+    with integer arithmetic.  The points with c <= 1/2 are solved in order
+    up from c = 0 and the others down from c = 1, so each half walks in from
+    its own hull edge.  Along a walk each solve starts at the multiplier
+    extrapolated through the last three converged ones (quadratic; linear
+    or constant while fewer are known), and from lam = 0 at the first
+    interior point and after any point that did not converge or has an
+    infinite lam.  A family that is its own mirror image about 1/2 (values
+    v and 1 - v with equal weights) gives rate(1 - c) = rate(c) bit for
+    bit, because ``maxent_rate`` measures both targets from their nearer
+    edge, so only the lower half is walked and the rest is copied.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
@@ -268,13 +293,19 @@ def _curve(values, weights, grid_points: int, kind: str) -> Curve:
     family = MaxEntProblem(values, weights, grid[0])
     vs, ws = family.values, family.weights
     mirrored = all(v + u == 1 for v, u in zip(vs, reversed(vs))) and ws == ws[::-1]
-    solved = (grid_points + 1) // 2 if mirrored else grid_points
-    rates = []
-    for c in grid[:solved]:
-        sol = maxent_rate(family.at(c))
-        # A non-converged point is marked nan rather than trusted.
-        rates.append(sol.rate if sol.converged else math.nan)
-    rates += [rates[grid_points - 1 - j] for j in range(solved, grid_points)]
+    half = (grid_points + 1) // 2
+    rates = [math.nan] * grid_points
+    walks = [range(half)] if mirrored else [range(half), range(grid_points - 1, half - 1, -1)]
+    for walk in walks:
+        known: List[float] = []
+        for j in walk:
+            start = sum(map(mul, _EXTRAPOLATE[len(known)], reversed(known)))
+            sol = maxent_rate(family.at(grid[j]), start)
+            # A non-converged point is marked nan rather than trusted.
+            rates[j] = sol.rate if sol.converged else math.nan
+            known = known[-2:] + [sol.lam] if sol.converged and math.isfinite(sol.lam) else []
+    if mirrored:
+        rates[half:] = rates[grid_points - 1 - half::-1]
     return Curve(grid=grid, rates=tuple(rates), kind=kind)
 
 

@@ -28,6 +28,7 @@ from morse_entropy import (
 )
 from morse_entropy import rate as rate_module
 from _oracles import edge_binary_entropy, scan_maxent_rate
+from test_cli import SEED7_RECORDS
 
 CIRCLE = preset("circle")
 TORUS = preset("torus")
@@ -67,15 +68,51 @@ def _one_family_specs():
     return [CIRCLE, TORUS, *draws, zero_interior]
 
 
-@pytest.mark.parametrize("spec", _one_family_specs())
-def test_curves_equal_fresh_problems_at_every_point(spec):
+def _kind_families(spec):
+    """(curve function, values, float weights) for each kind of the spectrum."""
     critical = [(a.value, a.multiplicity) for a in spec.atoms]
     betti = [(a.value, a.betti_weight) for a in spec.atoms if a.betti_weight > 0]
-    for curve, pairs in ((epsilon_curve(spec, 101), critical), (betti_curve(spec, 101), betti)):
-        values = tuple(v for v, _ in pairs)
-        weights = tuple(float(w) for _, w in pairs)
-        for c, r in zip(curve.grid, curve.rates):
-            assert r == maxent_rate(MaxEntProblem(values, weights, c)).rate, (curve.kind, c)
+    return [
+        (curve_of, tuple(v for v, _ in pairs), tuple(float(w) for _, w in pairs))
+        for curve_of, pairs in ((epsilon_curve, critical), (betti_curve, betti))
+    ]
+
+
+def _check_continuation(monkeypatch, make_curve, values, weights):
+    """A curve's solves against fresh problems, warm and cold.
+
+    Returns the curve and its solves as ``_counting_solves`` records them.
+
+    Each solve equals a fresh problem solved from the start the curve gave
+    it, bit for bit.  Each point converges wherever a cold solve does and is
+    within 1e-14 relative of it.
+    """
+    solves = _counting_solves(monkeypatch)
+    curve = make_curve()
+    monkeypatch.undo()
+    for problem, start, sol in solves:
+        assert sol == maxent_rate(MaxEntProblem(values, weights, problem.target), start)
+    for c, r in zip(curve.grid, curve.rates):
+        cold = maxent_rate(MaxEntProblem(values, weights, c))
+        if cold.converged:
+            assert not math.isnan(r), (curve.kind, c)
+            assert abs(r - cold.rate) <= 1e-14 * abs(cold.rate), (curve.kind, c, r, cold.rate)
+    return curve, solves
+
+
+@pytest.mark.parametrize("spec", _one_family_specs())
+def test_curves_equal_fresh_problems_at_every_point(monkeypatch, spec):
+    for curve_of, values, weights in _kind_families(spec):
+        _check_continuation(monkeypatch, lambda: curve_of(spec, 101), values, weights)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), grid_points=st.integers(3, 1001))
+def test_continued_curves_match_cold_solves_on_random_spectra(seed, grid_points):
+    spec = random_spectrum(random.Random(seed))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for curve_of, values, weights in _kind_families(spec):
+            _check_continuation(monkeypatch, lambda: curve_of(spec, grid_points), values, weights)
 
 
 def test_a_curve_validates_its_family_once(monkeypatch):
@@ -194,25 +231,64 @@ def test_top_edge_targets_of_asymmetric_weights_are_relatively_accurate():
 
 
 def _counting_solves(monkeypatch):
+    """Record the (problem, start, solution) of every solve a curve makes."""
     solve = rate_module.maxent_rate
-    counts = []
+    solves = []
 
-    def counting(problem):
-        sol = solve(problem)
-        counts.append(sol.iterations)
+    def counting(problem, start=0.0):
+        sol = solve(problem, start)
+        solves.append((problem, start, sol))
         return sol
 
     monkeypatch.setattr(rate_module, "maxent_rate", counting)
-    return counts
+    return solves
+
+
+# The benchmark's seed-7 spectrum: asymmetric, so every grid point is solved
+SEED7 = validate_spectrum(
+    [(Fraction(r["value"]), r["multiplicity"], r["betti_weight"]) for r in SEED7_RECORDS]
+)
+
+
+def _iterations_along_a_curve(monkeypatch, spec, grid_points):
+    solves = _counting_solves(monkeypatch)
+    rate_module.epsilon_curve(spec, grid_points)
+    return [sol.iterations for _, _, sol in solves]
 
 
 def test_newton_takes_few_iterations_along_a_curve(monkeypatch):
-    counts = _counting_solves(monkeypatch)
-    rate_module.epsilon_curve(TORUS, 1001)
+    counts = _iterations_along_a_curve(monkeypatch, TORUS, 1001)
     # the torus is its own mirror image: points with c > 1/2 are copied
     assert len(counts) == 501
-    assert sum(counts) / len(counts) <= 12
+    # cold solves from lam = 0 take about 6
+    assert sum(counts) / len(counts) <= 4.5
     assert max(counts) <= 60
+
+
+def test_newton_takes_few_iterations_along_an_asymmetric_curve(monkeypatch):
+    counts = _iterations_along_a_curve(monkeypatch, SEED7, 2001)
+    assert len(counts) == 2001
+    assert sum(counts) / len(counts) <= 4.5
+    assert max(counts) <= 60
+
+
+def test_warm_starts_are_in_the_frame_of_lam():
+    family = MaxEntProblem(DRAW_5.values(), DRAW_5.multiplicities(), HALF)
+    for target in (Fraction(1, 5), Fraction(4, 5)):
+        cold = maxent_rate(family.at(target))
+        warm = maxent_rate(family.at(target), cold.lam)
+        # the start evaluation and one more: the first Newton step is negligible
+        assert warm.converged and warm.iterations == 2 < cold.iterations
+        assert warm.rate == pytest.approx(cold.rate, rel=1e-14, abs=0.0)
+        assert maxent_rate(family.at(target), 0.0) == cold
+
+
+@pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+def test_non_finite_starts_raise(start):
+    family = MaxEntProblem(TORUS.values(), TORUS.multiplicities(), HALF)
+    for target in (Fraction(0), Fraction(3, 10), Fraction(1)):
+        with pytest.raises(ValueError, match="finite"):
+            maxent_rate(family.at(target), start)
 
 
 DRAW_5 = random_spectrum(random.Random(5))
@@ -223,9 +299,9 @@ DRAW_5 = random_spectrum(random.Random(5))
     [((Fraction(0), Fraction(1)), (3.0, 1.0)), (DRAW_5.values(), DRAW_5.multiplicities())],
 )
 def test_asymmetric_families_solve_every_grid_point(monkeypatch, values, weights):
-    counts = _counting_solves(monkeypatch)
+    solves = _counting_solves(monkeypatch)
     rate_module._curve(values, weights, 1001, "epsilon")
-    assert len(counts) == 1001
+    assert len(solves) == 1001
 
 
 @settings(max_examples=60, deadline=None)
@@ -290,26 +366,36 @@ HEAVY_ENDS = validate_spectrum(
 @pytest.mark.parametrize("grid_points", [2, 3, 4, 101, 1000])
 @pytest.mark.parametrize("spec", [CIRCLE, TORUS, HEAVY_ENDS], ids=["circle", "torus", "heavy_ends"])
 def test_mirrored_curves_equal_fresh_solves(monkeypatch, spec, grid_points):
-    counts = _counting_solves(monkeypatch)
     weights = tuple(float(m) for m in spec.multiplicities())
-    curve = rate_module.epsilon_curve(spec, grid_points)
-    assert len(counts) == (grid_points + 1) // 2
-    monkeypatch.undo()
-    for c, r in zip(curve.grid, curve.rates):
-        assert r == maxent_rate(MaxEntProblem(spec.values(), weights, c)).rate, c
+    curve, solves = _check_continuation(
+        monkeypatch, lambda: rate_module.epsilon_curve(spec, grid_points), spec.values(), weights
+    )
+    assert len(solves) == (grid_points + 1) // 2
+    assert all(problem.target <= HALF for problem, _, _ in solves)
+    assert curve.rates == curve.rates[::-1]
 
 
 @pytest.mark.parametrize("grid_points", [2, 3, 4, 101, 1000])
 def test_symmetric_values_with_asymmetric_weights_are_not_mirrored(monkeypatch, grid_points):
     values, weights = (Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1)), (2.0, 1.0, 3.0, 2.0)
-    counts = _counting_solves(monkeypatch)
-    curve = rate_module._curve(values, weights, grid_points, "epsilon")
-    assert len(counts) == grid_points
-    monkeypatch.undo()
-    for c, r in zip(curve.grid, curve.rates):
-        assert r == maxent_rate(MaxEntProblem(values, weights, c)).rate, c
+    curve, solves = _check_continuation(
+        monkeypatch, lambda: rate_module._curve(values, weights, grid_points, "epsilon"),
+        values, weights,
+    )
+    assert len(solves) == grid_points
     if grid_points >= 4:
         assert curve.rates[1] != curve.rates[-2]
+
+
+def test_each_half_walks_in_from_its_own_edge(monkeypatch):
+    solves = _counting_solves(monkeypatch)
+    rate_module._curve(DRAW_5.values(), DRAW_5.multiplicities(), 11, "epsilon")
+    targets = [problem.target for problem, _, _ in solves]
+    assert targets == [Fraction(j, 10) for j in (*range(6), *range(10, 5, -1))]
+    starts = [start for _, start, _ in solves]
+    # each edge is a point mass with an infinite lam, so the next point starts cold
+    assert starts[0] == starts[1] == starts[6] == starts[7] == 0
+    assert all(start != 0 for start in starts[2:6] + starts[8:])
 
 
 NON_DYADIC = MaxEntProblem((Fraction(1, 3), HALF, Fraction(2, 3)), (1.0, 2.0, 3.0), HALF)
@@ -471,7 +557,10 @@ def test_finite_rates_converge_monotonically_to_the_sup():
 
 
 def test_non_converged_points_become_nan(monkeypatch):
-    def stub(problem):
+    starts = []
+
+    def stub(problem, start=0.0):
+        starts.append(start)
         return MaxEntSolution(
             lam=0.0,
             p=(1.0,) * len(problem.values),
@@ -484,3 +573,19 @@ def test_non_converged_points_become_nan(monkeypatch):
     curve = rate_module.epsilon_curve(CIRCLE, 5)
     assert all(math.isnan(r) for r in curve.rates)
     assert concavity_check(curve, 1e-9) == [1, 2, 3]
+    assert starts == [0.0, 0.0, 0.0]
+
+    # One failed point among converged ones: the walk starts cold after it
+    solve, failing = maxent_rate, Fraction(3, 10)
+    starts.clear()
+
+    def fails_once(problem, start=0.0):
+        starts.append(start)
+        if problem.target == failing:
+            return MaxEntSolution(-5.0, (0.5, 0.5), 1.23, False, 200)
+        return solve(problem, start)
+
+    monkeypatch.setattr(rate_module, "maxent_rate", fails_once)
+    curve = rate_module.epsilon_curve(CIRCLE, 11)
+    assert [math.isnan(r) for r in curve.rates] == [j in (3, 7) for j in range(11)]
+    assert starts[3] != 0.0 and starts[4] == 0.0 and starts[5] != 0.0
