@@ -40,6 +40,7 @@ MAX_ITERATIONS = 200
 #: Quadrature refinement stops when doubling the grid moves Z by less
 #: than this relative amount.
 QUADRATURE_RTOL = 1e-10
+_QUADRATURE_START_POINTS = 256
 _QUADRATURE_MAX_POINTS = 1 << 21
 
 
@@ -198,7 +199,7 @@ class LaplaceReport(NamedTuple):
         return self.converged and not self.violations
 
 
-def laplace_check(beta_grid: Sequence[float], quadrature_points: int = 256) -> LaplaceReport:
+def laplace_check(beta_grid: Sequence[float]) -> LaplaceReport:
     """Evaluate g(beta) = -log Z(beta) / beta over a positive beta grid.
 
     Z is the average of exp(-beta * height) over the circle, refined by
@@ -215,13 +216,11 @@ def laplace_check(beta_grid: Sequence[float], quadrature_points: int = 256) -> L
         raise ValueError("beta grid must be finite")
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta grid must be strictly increasing")
-    if quadrature_points < 256:
-        raise ValueError("need at least 256 quadrature points")
 
     rows: List[LaplaceRow] = []
     violations: List[str] = []
     for beta in betas:
-        points = quadrature_points
+        points = _QUADRATURE_START_POINTS
         z = _circle_partition_mean(beta, points)
         converged = False
         while points <= _QUADRATURE_MAX_POINTS // 2:

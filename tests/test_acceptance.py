@@ -183,7 +183,7 @@ def test_criterion_08_legendre_duality():
 
 
 def test_criterion_09_laplace_squeeze():
-    report = laplace_check([10.0, 100.0, 1000.0, 10000.0], 256)
+    report = laplace_check([10.0, 100.0, 1000.0, 10000.0])
     ok = report.passed
     g_text = ",".join(f"{row.g:.6f}" for row in report.rows)
     _finish(

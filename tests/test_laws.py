@@ -1,12 +1,13 @@
 """Law checks: domination, superadditivity, convergence, curve bounds."""
 
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from morse_entropy import cli, laws
+from morse_entropy import cli, counter, laws
 from morse_entropy import (
     Boundary,
     CriticalSpectrum,
@@ -27,6 +28,7 @@ from morse_entropy import (
     random_spectrum,
     random_windows,
     validate_spectrum,
+    window_counts,
 )
 from _oracles import fekete_pairs, full_sweep_check_fekete
 
@@ -308,11 +310,16 @@ def test_batched_superadditivity_equals_single_draws(monkeypatch):
                 *(check_superadditivity(spec, *draw, cap=1 << 20) for draw in zip(*draws))
             )
             powers = _counting(monkeypatch, "window_counts")
+            sweeps = _counting(monkeypatch, "_sweep")
             batched = check_superadditivity(spec, *draws, cap=1 << 20)
             monkeypatch.undo()
             assert batched == singles
-            keys = [(n, kind) for _, n, kind, _ in powers]
-            assert len(keys) == len(set(keys)) <= 32
+            assert powers == []
+            n_max = max(a + b for a, b in zip(draws[0], draws[1]))
+            assert [(kind, n) for _, kind, n, _ in sweeps] == [
+                (Kind.BETTI, n_max),
+                (Kind.CRITICAL, n_max),
+            ]
     assert not batched.passed  # SIGNED: violation order is compared too
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     assert check_superadditivity(TORUS, [1], [1], [half], [half], [quarter]) == (
@@ -326,15 +333,71 @@ def test_batched_superadditivity_equals_single_draws(monkeypatch):
         check_superadditivity(TORUS, [1, 0], [1, 1], [0, 0], [0, 0], [Fraction(1, 4)] * 2)
 
 
-def test_superadditivity_cap_error_names_the_first_n_a_draw_reads(capsys):
-    # seed 0 draws n1 = n2 = 7 first: the whole, n = 14, is read before
-    # either part, so its grid 28 is the one named
+def test_signed_superadditivity_reports_match_miller_counts():
+    # Swept counts against window_counts, the independent Miller engine:
+    # SIGNED's negative weight makes many instances fail, so every lhs and
+    # rhs below is a count the sweep read.
+    reports = [
+        check_superadditivity(SIGNED, *_verify_draws(seed), cap=1 << 20) for seed in (0, 7, 11)
+    ]
+    digest = hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest()
+    assert digest == "b601a5a6291915cff659dfd51320731ecd03a439347f2cdf7c370af8e7b428aa"
+    assert [len(report.violations) for report in reports] == [48, 60, 54]
+    for report in reports:
+        for violation in report.violations:
+            tags = dict(violation.inputs)
+            kind = Kind(tags["kind"])
+            n1, n2 = int(tags["n1"]), int(tags["n2"])
+            c1, c2, delta = (Fraction(tags[key]) for key in ("c1", "c2", "delta"))
+            c_mix = (n1 * c1 + n2 * c2) / (n1 + n2)
+            whole, part1, part2 = (
+                window_counts(SIGNED, n, kind, [WindowQuery(c, delta, kind.boundary)])[0]
+                for n, c in ((n1 + n2, c_mix), (n1, c1), (n2, c2))
+            )
+            assert (violation.lhs, violation.rhs) == (whole, part1 * part2)
+
+
+def test_superadditivity_frees_each_kinds_prefix_sums_before_the_next():
+    # Allocation guard, not a timing assert: the benchmark's seed-601
+    # spectrum under the draws of verify --seed 601 peaks at about 0.53 MB,
+    # below check_domination's 0.84 MB at n_max = 40 on the same spectrum;
+    # keeping one kind's prefix sums through the next sweep peaks at 0.94 MB.
+    spec = validate_spectrum(
+        [
+            (Fraction(0), 2, 2),
+            (Fraction(5, 83), 2, 2),
+            (Fraction(14, 83), 1, 1),
+            (Fraction(70, 83), 3, 0),
+            (Fraction(73, 83), 4, 2),
+            (Fraction(1), 3, 2),
+        ]
+    )
+    draws = _verify_draws(601)
+    tracemalloc.start()
+    try:
+        report = check_superadditivity(spec, *draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.instances_checked == 100
+    assert peak < 0.7 * 2**20
+
+
+def test_superadditivity_cap_error_names_the_largest_n_a_draw_reads(monkeypatch, capsys):
+    # seed 0 draws n1 + n2 up to 16: the cap is checked once for it,
+    # grid 32, before either kind's sweep convolves anything
+    steps = []
+    convolve = counter._convolve
+    monkeypatch.setattr(counter, "_convolve", lambda *a: steps.append(a) or convolve(*a))
     args = ["verify", "--preset", "torus", "--suite", "superadditivity", "--cap", "12"]
     assert cli.run(args) == 4
-    assert capsys.readouterr().err == "error: sum grid n*denom = 28 exceeds cap 12\n"
+    assert capsys.readouterr().err == "error: sum grid n*denom = 32 exceeds cap 12\n"
+    assert steps == []
 
 
 def test_verify_traces_one_superadditivity_call(monkeypatch, capsys):
+    powers = _counting(monkeypatch, "window_counts")
+    sweeps = _counting(monkeypatch, "_sweep")
     calls = []
     check = cli.check_superadditivity
     monkeypatch.setattr(
@@ -345,6 +408,7 @@ def test_verify_traces_one_superadditivity_call(monkeypatch, capsys):
     assert out == "PASS window_count_superadditivity instances=100 violations=0\n"
     assert len(calls) == 1
     assert calls[0][1:] == tuple(_verify_draws(0, windows=0))
+    assert powers == [] and len(sweeps) == 2
 
 
 def test_bounds_and_max_on_presets():

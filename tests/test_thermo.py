@@ -184,7 +184,7 @@ def test_circle_height():
 
 
 def test_laplace_squeeze_values():
-    report = laplace_check([10.0, 100.0, 1000.0], 256)
+    report = laplace_check([10.0, 100.0, 1000.0])
     assert report.passed and report.converged
     assert [row.beta for row in report.rows] == [10.0, 100.0, 1000.0]
     g = [row.g for row in report.rows]
@@ -198,7 +198,7 @@ def test_laplace_squeeze_values():
 
 
 def test_laplace_bound_tightens_with_beta():
-    report = laplace_check([10.0, 100.0, 1000.0, 10000.0], 256)
+    report = laplace_check([10.0, 100.0, 1000.0, 10000.0])
     assert report.passed
     for row in report.rows:
         assert 0.0 < row.g <= 5.0 * math.log(row.beta) / row.beta
@@ -222,7 +222,7 @@ def test_laplace_matches_the_exact_circle_average():
     assert _log_bessel_i0(0.0) == 0.0
     assert math.exp(_log_bessel_i0(1.0)) == pytest.approx(1.2660658777520082, rel=1e-15)
     betas = [0.5, 1.0, 3.0, 10.0, 31.6, 100.0, 316.0, 1000.0]
-    report = laplace_check(betas, 256)
+    report = laplace_check(betas)
     assert report.passed
     for row in report.rows:
         exact = -(-row.beta / 2 + _log_bessel_i0(row.beta / 2)) / row.beta
@@ -232,7 +232,7 @@ def test_laplace_matches_the_exact_circle_average():
 def test_laplace_matches_the_large_beta_asymptotic():
     # Z ~ (pi beta)^(-1/2) (1 + 1/(4 beta)), so g = log(pi beta) / (2 beta)
     # up to a relative 1/(2 beta log(pi beta)): 4.0e-7 at 1e5, 3.3e-8 at 1e6
-    report = laplace_check([1e5, 1e6], 256)
+    report = laplace_check([1e5, 1e6])
     assert report.passed
     for row in report.rows:
         asymptotic = math.log(math.pi * row.beta) / (2.0 * row.beta)
@@ -246,8 +246,6 @@ def test_laplace_grid_validation():
         laplace_check([0.0, 1.0])
     with pytest.raises(ValueError, match="increasing"):
         laplace_check([2.0, 1.0])
-    with pytest.raises(ValueError, match="quadrature"):
-        laplace_check([10.0], 128)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             laplace_check([10.0, bad])
@@ -257,7 +255,7 @@ def test_laplace_grid_validation():
 
 def test_laplace_reports_unsettled_quadrature(monkeypatch):
     monkeypatch.setattr(thermo_module, "_QUADRATURE_MAX_POINTS", 256)
-    report = laplace_check([10.0], 256)
+    report = laplace_check([10.0])
     assert not report.converged
     assert not report.passed
     assert any("settle" in v for v in report.violations)
