@@ -30,8 +30,6 @@ from .laws import (
     check_domination,
     check_fekete,
     check_superadditivity,
-    merge_reports,
-    random_spectrum,
     random_windows,
 )
 from .rate import (
@@ -40,7 +38,6 @@ from .rate import (
     MaxEntProblem,
     MaxEntSolution,
     betti_curve,
-    concavity_check,
     epsilon_curve,
     maxent_rate,
     window_sup_rate,
@@ -94,7 +91,6 @@ __all__ = [
     "check_fekete",
     "check_superadditivity",
     "circle_height",
-    "concavity_check",
     "count_window",
     "entry_multiset",
     "epsilon_curve",
@@ -105,10 +101,8 @@ __all__ = [
     "legendre_epsilon",
     "maxent_rate",
     "mean_distribution",
-    "merge_reports",
     "preset",
     "preset_names",
-    "random_spectrum",
     "random_windows",
     "validate_spectrum",
     "window_counts",

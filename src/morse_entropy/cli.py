@@ -159,7 +159,7 @@ def _build_parser() -> _Parser:
         default="all",
     )
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--n-max", type=int, default=12, help="largest n for domination sweeps")
+    p_verify.add_argument("--n-max", type=int, default=12, help="largest n the domination check covers")
     p_verify.add_argument("--fekete-n-max", type=int, default=64)
     p_verify.add_argument("--cap", type=int, help="maximum sum grid n*denom")
 

@@ -9,12 +9,14 @@ coefficient at a time, each needing only the D or fewer before it.
 :func:`window_counts` sums the stream from the grid end nearer its
 windows, stops at the farthest window edge and holds O(D) coefficients
 plus one prefix sum per window edge, never the n*D + 1 of the whole
-grid; :func:`mean_distribution` keeps every coefficient.  Domination
-and superadditivity read many n, so they sweep instead: one convolution
-per step.  Whether a window holds any tuple at all needs no counts:
-:func:`occupied_windows` steps the support of the n-fold sum as one
-bitmask.  Counts stay Python integers throughout; the only float in this
-module is the final ``log(count) / n`` of :func:`finite_rate`.
+grid; :func:`mean_distribution` keeps every coefficient.
+Superadditivity reads many n, so it sweeps instead: one convolution per
+step.  Domination is read from the atoms, and swept the same way only
+for a spectrum built without validation.  Whether a window holds any
+tuple at all needs no counts: :func:`occupied_windows` steps the
+support of the n-fold sum as one bitmask.  Counts stay Python integers
+throughout; the only float in this module is the final
+``log(count) / n`` of :func:`finite_rate`.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """Structural law checks over exact window counts.
 
-Each check sweeps a family of exact integer comparisons and returns a
+Each check runs a family of exact integer comparisons and returns a
 :class:`LawReport` listing every instance that failed, rather than
 raising on the first one.  The laws themselves: homology counts never
 exceed critical-point counts in a window; window counts multiply into
 blended windows when tuples concatenate; per-site log counts at a fixed
 window converge to the concave rate curve; and the curves respect their
 analytic bounds with the homology curve peaking at the total homology
-dimension.
+dimension.  Domination is read from the atoms, and counted only for a
+spectrum built without validation.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 from .counter import (
     Kind,
     WindowQuery,
+    _check_cap,
     _sweep,
     finite_rate,
     occupied_windows,
@@ -28,7 +30,7 @@ from .counter import (
     window_range,
 )
 from .rate import betti_curve, epsilon_curve, maxent_rate, MaxEntProblem, window_sup_rate
-from .spectrum import CriticalSpectrum, entry_multiset, validate_spectrum
+from .spectrum import CriticalSpectrum, entry_multiset
 
 
 class Violation(NamedTuple):
@@ -49,20 +51,6 @@ class LawReport(NamedTuple):
         return not self.violations
 
 
-def merge_reports(*reports: LawReport) -> LawReport:
-    """Combine reports for the same law; order of arguments is preserved."""
-    if not reports:
-        raise ValueError("nothing to merge")
-    law = reports[0].law
-    if any(r.law != law for r in reports):
-        raise ValueError("cannot merge reports for different laws")
-    return LawReport(
-        law=law,
-        instances_checked=sum(r.instances_checked for r in reports),
-        violations=tuple(v for r in reports for v in r.violations),
-    )
-
-
 def _tag(**kwargs) -> Tuple[Tuple[str, str], ...]:
     return tuple((k, str(v)) for k, v in kwargs.items())
 
@@ -78,15 +66,22 @@ def check_domination(
 
     The homology side is counted half-open, the critical side closed, so
     the comparison is exactly the one the downstream rate inequality
-    rests on.  The boundary conventions are imposed here; the ``boundary``
-    field of the supplied windows is ignored.  Each swept distribution is
-    summed once into prefix sums, and each window count is their
-    difference.  ``n_max`` must be at least 1 and ``windows`` nonempty.
+    rests on; the ``boundary`` field of the supplied windows is ignored.
+    ``n_max`` must be at least 1, ``windows`` nonempty, and n_max within
+    the cap.  The law is read from the atoms when each has 0 <=
+    betti_weight <= multiplicity, as validation ensures: the homology
+    site histogram is then at most the critical one in every coefficient,
+    n-th powers of nonnegative polynomials keep that order, and the
+    half-open window lies inside the closed one.  Only a spectrum built
+    without validation is counted, one prefix-summed sweep step at a time.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not windows:
         raise ValueError("need at least one window")
+    _check_cap(spec, n_max, cap)
+    if all(0 <= atom.betti_weight <= atom.multiplicity for atom in spec.atoms):
+        return LawReport("betti_dominated_by_critical", n_max * len(windows), ())
     betti_queries = [WindowQuery(q.c, q.delta, Kind.BETTI.boundary) for q in windows]
     critical_queries = [WindowQuery(q.c, q.delta, Kind.CRITICAL.boundary) for q in windows]
     violations: List[Violation] = []
@@ -127,8 +122,8 @@ def check_superadditivity(
     count (half-open windows) and the critical count (closed windows).
 
     The five draw arguments are one draw, or tuples or lists of equal
-    length holding one draw per index; the report equals
-    :func:`merge_reports` of the single-draw reports in order.  Each kind
+    length holding one draw per index; the report is the single-draw
+    reports concatenated in order.  Each kind
     is swept once, to the largest n1 + n2 (its cap checked before any
     work), and each count is a prefix-sum difference at its n: O((n1 +
     n2)**2 * denom) work, meant for the small n that ``verify`` draws.
@@ -185,15 +180,14 @@ def check_fekete(
     """Convergence evidence for per-site log homology counts at windows.
 
     ``c`` is one window centre, or a tuple or list of centres sharing
-    ``delta``; the report equals :func:`merge_reports` of the
-    single-centre reports in order.  Three sub-checks per centre, tagged
-    in the violation inputs: ``unit_floor`` (counts are >= 1 once n
-    exceeds 2/delta), ``superadditive_pairs`` (log counts at fixed window
-    superadd, as exact integer products), and ``rate_vs_limit`` (the
-    per-site log count at n_max is within 3*log(n_max * D * B) / n_max of
-    the concave rate supremum over the window).  Requires
-    n_max >= ceil(2/delta) + 4 so the tail past the unit floor is
-    non-trivial.
+    ``delta``; the report is the single-centre reports concatenated in
+    order.  Three sub-checks per centre, tagged in the violation inputs:
+    ``unit_floor`` (counts are >= 1 once n exceeds 2/delta),
+    ``superadditive_pairs`` (log counts at fixed window superadd, as
+    exact integer products), and ``rate_vs_limit`` (the per-site log
+    count at n_max is within 3*log(n_max * D * B) / n_max of the concave
+    rate supremum over the window).  Requires n_max >= ceil(2/delta) + 4
+    so the tail past the unit floor is non-trivial.
 
     Exact counts are taken only at the n the pair and limit sub-checks
     read, by one :func:`window_counts` call per n.  ``unit_floor`` needs
@@ -306,26 +300,6 @@ def check_bounds_and_max(spec: CriticalSpectrum, grid_points: int) -> LawReport:
             Violation(_tag(bound="peak_reaches_log_homology", c=c_star), peak, math.log(total_b))
         )
     return LawReport("rate_bounds_and_peak", checked, tuple(violations))
-
-
-def random_spectrum(rng: random.Random) -> CriticalSpectrum:
-    """Small random valid spectrum, deterministic for a seeded generator.
-
-    Two to five atoms with denominators up to 12, multiplicities up to 4;
-    betti weights are uniform in [1, multiplicity] at the extremes and in
-    [0, multiplicity] inside, matching what validation admits.
-    """
-    n_atoms = rng.randint(2, 5)
-    values = {Fraction(0), Fraction(1)}
-    while len(values) < n_atoms:
-        den = rng.randint(2, 12)
-        values.add(Fraction(rng.randint(1, den - 1), den))
-    raw = []
-    for v in sorted(values):
-        mult = rng.randint(1, 4)
-        low = 1 if v == 0 or v == 1 else 0
-        raw.append((v, mult, rng.randint(low, mult)))
-    return validate_spectrum(raw)
 
 
 def random_windows(rng: random.Random, count: int) -> List[WindowQuery]:

@@ -322,26 +322,6 @@ def betti_curve(spec: CriticalSpectrum, grid_points: int) -> Curve:
     )
 
 
-def concavity_check(curve: Curve, tol: float) -> List[int]:
-    """Indices where the midpoint inequality fails by more than tol.
-
-    Requires a uniform grid.  -inf never certifies a violation on the
-    right-hand side; a -inf value strictly between finite neighbours does.
-    """
-    steps = {curve.grid[i + 1] - curve.grid[i] for i in range(len(curve.grid) - 1)}
-    if len(steps) > 1:
-        raise ValueError("concavity check needs a uniform grid")
-    bad: List[int] = []
-    for i in range(1, len(curve.rates) - 1):
-        left, mid, right = curve.rates[i - 1], curve.rates[i], curve.rates[i + 1]
-        if math.isnan(left) or math.isnan(mid) or math.isnan(right):
-            bad.append(i)
-            continue
-        if not mid >= 0.5 * (left + right) - tol:
-            bad.append(i)
-    return bad
-
-
 def window_sup_rate(
     values: Sequence[Union[Fraction, int]],
     weights: Sequence[float],

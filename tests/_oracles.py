@@ -1,17 +1,20 @@
-"""Independent brute-force references for the test suite.
+"""Independent brute-force references and test-only helpers for the test suite.
 
 Most of these touch no package counting or root-finding code:
 distributions come from enumerating weighted atom tuples, constrained
 entropy maxima from scanning the feasible slice of the probability
-simplex.  Slow on purpose, trustworthy on purpose.  One instead keeps a
-slower package route as the reference for a faster one:
-:func:`full_sweep_check_fekete` reads every count from the package's
-rolling convolution sweep ``counter._sweep``, which its Fekete check
-does not use.
+simplex.  Slow on purpose, trustworthy on purpose.  Two instead keep a
+slower package route as the reference for a faster one, reading every
+count from the package's rolling convolution sweep ``counter._sweep``:
+:func:`full_sweep_check_fekete`, which the Fekete check does not use,
+and :func:`swept_check_domination`, which the domination check skips on
+every spectrum whose atoms prove the law.  The rest are helpers only
+the tests call: seeded spectra, report merging and a concavity scan.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from morse_entropy import (
@@ -21,6 +24,7 @@ from morse_entropy import (
     WindowQuery,
     entry_multiset,
     finite_rate,
+    validate_spectrum,
     window_sup_rate,
 )
 from morse_entropy.counter import _sweep, window_range
@@ -177,3 +181,77 @@ def full_sweep_check_fekete(spec, centres, delta, n_max, cap=None):
                 )
             )
     return LawReport("fekete_limit", checked, tuple(violations))
+
+
+def swept_check_domination(spec, n_max, windows, cap=None):
+    """``check_domination`` with every window counted at every n, whatever the atoms."""
+    violations = []
+    queries = [
+        (query, WindowQuery(query.c, query.delta, Kind.BETTI.boundary), WindowQuery(query.c, query.delta))
+        for query in windows
+    ]
+    sweeps = zip(_sweep(spec, Kind.CRITICAL, n_max, cap), _sweep(spec, Kind.BETTI, n_max, cap))
+    for n, (counts_c, counts_b) in enumerate(sweeps, 1):
+        for query, betti_query, critical_query in queries:
+            betti_span = window_range(betti_query, n * spec.denom)
+            critical_span = window_range(critical_query, n * spec.denom)
+            betti = sum(counts_b[betti_span.start : betti_span.stop])
+            critical = sum(counts_c[critical_span.start : critical_span.stop])
+            if betti > critical:
+                inputs = (("n", str(n)), ("c", str(query.c)), ("delta", str(query.delta)))
+                violations.append(Violation(inputs, betti, critical))
+    return LawReport("betti_dominated_by_critical", n_max * len(windows), tuple(violations))
+
+
+def merge_reports(*reports):
+    """Combine reports for the same law; order of arguments is preserved."""
+    if not reports:
+        raise ValueError("nothing to merge")
+    law = reports[0].law
+    if any(r.law != law for r in reports):
+        raise ValueError("cannot merge reports for different laws")
+    return LawReport(
+        law=law,
+        instances_checked=sum(r.instances_checked for r in reports),
+        violations=tuple(v for r in reports for v in r.violations),
+    )
+
+
+def random_spectrum(rng: random.Random):
+    """Small random valid spectrum, deterministic for a seeded generator.
+
+    Two to five atoms with denominators up to 12, multiplicities up to 4;
+    betti weights are uniform in [1, multiplicity] at the extremes and in
+    [0, multiplicity] inside, matching what validation admits.
+    """
+    n_atoms = rng.randint(2, 5)
+    values = {Fraction(0), Fraction(1)}
+    while len(values) < n_atoms:
+        den = rng.randint(2, 12)
+        values.add(Fraction(rng.randint(1, den - 1), den))
+    raw = []
+    for v in sorted(values):
+        mult = rng.randint(1, 4)
+        low = 1 if v == 0 or v == 1 else 0
+        raw.append((v, mult, rng.randint(low, mult)))
+    return validate_spectrum(raw)
+
+
+def concavity_check(curve, tol):
+    """Indices where the midpoint inequality fails by more than tol.
+
+    Requires a uniform grid.  -inf never certifies a violation on the
+    right-hand side; a -inf value strictly between finite neighbours does.
+    """
+    steps = {curve.grid[i + 1] - curve.grid[i] for i in range(len(curve.grid) - 1)}
+    if len(steps) > 1:
+        raise ValueError("concavity check needs a uniform grid")
+    bad = []
+    for i in range(1, len(curve.rates) - 1):
+        left, mid, right = curve.rates[i - 1], curve.rates[i], curve.rates[i + 1]
+        if math.isnan(left) or math.isnan(mid) or math.isnan(right):
+            bad.append(i)
+            continue
+        if not mid >= 0.5 * (left + right) - tol:
+            bad.append(i)
+    return bad

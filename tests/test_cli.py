@@ -6,14 +6,19 @@ import json
 import math
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from morse_entropy import LawReport, Violation, preset
+from morse_entropy import LawReport, Violation, preset, preset_names
 from morse_entropy import cli as cli_module
 from morse_entropy import thermo as thermo_module
 from morse_entropy.cli import emit_curve, run
@@ -37,7 +42,7 @@ def _readme_examples():
 README_EXAMPLES = _readme_examples()
 
 
-def _module_run(*args, **env):
+def _module_run(*args, preexec_fn=None, **env):
     """Run ``python -m morse_entropy`` on this source tree in a child process."""
     src = str(Path(cli_module.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -46,6 +51,7 @@ def _module_run(*args, **env):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path, **env},
+        preexec_fn=preexec_fn,
     )
 
 
@@ -315,6 +321,8 @@ def _int_options():
 
 def test_every_int_option_is_bounded():
     assert set(_int_options()) == set(INT_OPTION_BOUNDS)
+    sizes = {key for key, bound in INT_OPTION_BOUNDS.items() if bound in ("cap", "curve grid limit")}
+    assert {(argv[0], flag) for flag, argv in SIZE_COMMANDS.items()} == sizes
 
 
 @pytest.mark.parametrize(
@@ -338,6 +346,67 @@ def test_a_small_cap_refuses_the_default_work(capsys, command, option):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: sum grid") and captured.err.endswith("exceeds cap 8\n")
+
+
+# Each size flag with the rest of a command that runs it.
+SIZE_COMMANDS = {
+    "--n": ["count", "--c", "1/2", "--delta", "1/16"],
+    "--n-max": ["verify", "--suite", "domination"],
+    "--fekete-n-max": ["verify", "--suite", "fekete"],
+    "--grid": ["curve"],
+}
+
+
+@st.composite
+def _spectrum_records(draw):
+    """At most 8 valid atoms with denominators up to 12, as spectrum-file records."""
+    values = {Fraction(0), Fraction(1)}
+    for _ in range(draw(st.integers(0, 6))):
+        den = draw(st.integers(2, 12))
+        values.add(Fraction(draw(st.integers(1, den - 1)), den))
+    records = []
+    for value in sorted(values):
+        mult = draw(st.integers(1, 9))
+        betti = draw(st.integers(1 if value in (0, 1) else 0, mult))
+        records.append({"value": str(value), "multiplicity": mult, "betti_weight": betti})
+    return records
+
+
+@st.composite
+def _size_cases(draw):
+    """(argv, records): one size flag drawn log-uniformly up to 10**12, on a preset or a file."""
+    flag = draw(st.sampled_from(sorted(SIZE_COMMANDS)))
+    size = int(10 ** draw(st.floats(0, 12)))
+    argv = [*SIZE_COMMANDS[flag], flag, str(size)]
+    if draw(st.booleans()):
+        return argv + ["--preset", draw(st.sampled_from(preset_names()))], None
+    return argv, draw(_spectrum_records())
+
+
+def _limit_child():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=_size_cases())
+@example(case=(["verify", "--preset", "circle", "--suite", "domination", "--n-max", "16384"], None))
+@example(case=(["verify", "--preset", "torus", "--n-max", "8192"], None))
+@example(case=(["count", "--preset", "circle", "--n", "16384", "--c", "1/2", "--delta", "1/16"], None))
+@example(case=(["curve", "--preset", "torus", "--grid", "16384"], None))
+def test_every_size_ends_in_a_documented_exit_code(case):
+    # One child at a time, under 2 GiB of address space and 10 s of CPU:
+    # a size the CLI accepts must finish, and any other must be refused.
+    argv, records = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if records is not None:
+            path = os.path.join(tmp, "spectrum.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(records, handle)
+            argv = [*argv, "--spectrum-file", path]
+        proc = _module_run(*argv, preexec_fn=_limit_child)
+    assert proc.returncode in (0, 1, 2, 3, 4), (argv, proc.returncode, proc.stderr[-500:])
+    assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
 
 
 @pytest.mark.parametrize(

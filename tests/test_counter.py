@@ -24,7 +24,6 @@ from morse_entropy import (
     finite_rate,
     mean_distribution,
     preset,
-    random_spectrum,
     random_windows,
     validate_spectrum,
 )
@@ -38,7 +37,7 @@ from morse_entropy.counter import (
     window_counts,
     window_range,
 )
-from _oracles import brute_window_count, tuple_mean_counts
+from _oracles import brute_window_count, random_spectrum, tuple_mean_counts
 
 CIRCLE = preset("circle")
 TORUS = preset("torus")

@@ -23,14 +23,18 @@ from morse_entropy import (
     check_superadditivity,
     count_window,
     mean_distribution,
-    merge_reports,
     preset,
-    random_spectrum,
     random_windows,
     validate_spectrum,
     window_counts,
 )
-from _oracles import fekete_pairs, full_sweep_check_fekete
+from _oracles import (
+    fekete_pairs,
+    full_sweep_check_fekete,
+    merge_reports,
+    random_spectrum,
+    swept_check_domination,
+)
 
 CIRCLE = preset("circle")
 TORUS = preset("torus")
@@ -60,14 +64,54 @@ def test_domination_on_presets():
         assert report.instances_checked == 80
         assert report.passed
         assert report.violations == ()
+        assert report == swept_check_domination(spec, 8, windows)
 
 
 def test_domination_on_random_spectra():
     rng = random.Random(21)
     for _ in range(20):
         spec = random_spectrum(rng)
-        report = check_domination(spec, 6, random_windows(rng, 8), cap=1 << 20)
+        windows = random_windows(rng, 8)
+        report = check_domination(spec, 6, windows, cap=1 << 20)
         assert report.passed, report.violations
+        assert report == swept_check_domination(spec, 6, windows, cap=1 << 20)
+
+
+def test_domination_on_validated_spectra_counts_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("domination swept a spectrum whose atoms prove it")
+
+    monkeypatch.setattr(laws, "_sweep", refuse)
+    rng = random.Random(22)
+    for spec in [CIRCLE, TORUS] + [random_spectrum(rng) for _ in range(20)]:
+        report = check_domination(spec, 40, random_windows(rng, 8), cap=1 << 20)
+        assert report == LawReport("betti_dominated_by_critical", 320, ())
+
+
+def test_domination_counts_a_negative_betti_weight():
+    # betti <= multiplicity holds at every atom, but the weight -3 at 1/2
+    # makes the homology count at n = 2 the coefficient 11 of
+    # (1 - 3x + x**2)**2 against 3 of (1 + x + x**2)**2: a certificate
+    # that skipped the 0 <= betti half would pass this spectrum
+    spec = bypassed((0, 1, 1), (Fraction(1, 2), 1, -3), (1, 1, 1))
+    report = check_domination(spec, 2, [WindowQuery(Fraction(1, 2), Fraction(1, 8))])
+    assert report.instances_checked == 2
+    assert report.violations == (
+        Violation((("n", "2"), ("c", "1/2"), ("delta", "1/8")), 11, 3),
+    )
+
+
+def test_domination_checks_the_cap_before_any_work(monkeypatch):
+    steps = []
+    convolve = counter._convolve
+    monkeypatch.setattr(counter, "_convolve", lambda *a: steps.append(a) or convolve(*a))
+    window = [WindowQuery(Fraction(1, 2), Fraction(1, 4))]
+    with pytest.raises(ResourceCapError, match="16385 exceeds cap 16384"):
+        check_domination(CIRCLE, 16385, window)
+    with pytest.raises(ResourceCapError, match="12 exceeds cap 11"):
+        check_domination(bypassed((0, 1, 1), (Fraction(1, 2), 1, 5), (1, 1, 1)), 6, window, cap=11)
+    assert steps == []
+    assert check_domination(CIRCLE, 16384, window).passed
 
 
 def test_domination_is_strict_when_multiplicity_exceeds_betti():
@@ -132,11 +176,14 @@ def test_domination_prefix_sums_equal_window_counts():
 
 
 def test_domination_frees_each_steps_prefix_sums_before_the_next():
-    # Allocation guard, not a timing assert: holding two steps' prefix sums
-    # at once peaks at about 0.94 MB here, one step's at about 0.65 MB.
+    # Allocation guard, not a timing assert: the torus with homology weight
+    # -1 at 1/2 passes the law but not the atom premise, so it is swept.
+    # Holding two steps' prefix sums at once peaks at about 0.84 MB here,
+    # one step's at about 0.59 MB.
+    spec = bypassed((0, 1, 1), (Fraction(1, 2), 2, -1), (1, 1, 1))
     tracemalloc.start()
     try:
-        report = check_domination(TORUS, 500, [WindowQuery(Fraction(1, 2), Fraction(1, 16))])
+        report = check_domination(spec, 500, [WindowQuery(Fraction(1, 2), Fraction(1, 16))])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -15,19 +15,17 @@ from morse_entropy import (
     MaxEntSolution,
     WindowQuery,
     betti_curve,
-    concavity_check,
     count_window,
     epsilon_curve,
     finite_rate,
     maxent_rate,
     mean_distribution,
     preset,
-    random_spectrum,
     validate_spectrum,
     window_sup_rate,
 )
 from morse_entropy import rate as rate_module
-from _oracles import edge_binary_entropy, scan_maxent_rate
+from _oracles import concavity_check, edge_binary_entropy, random_spectrum, scan_maxent_rate
 from test_cli import SEED7_RECORDS
 
 CIRCLE = preset("circle")

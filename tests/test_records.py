@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import morse_entropy
 from morse_entropy import (
     Boundary,
     CriticalSpectrum,
@@ -158,6 +159,58 @@ def test_replace_rebuilds_what_validation_keeps():
     fresh = MaxEntProblem((0, HALF, 1), (1.0, 2.0, 1.0), Fraction(1, 4))
     assert moved == family.at(Fraction(1, 4)) == fresh
     assert maxent_rate(moved) == maxent_rate(family.at(Fraction(1, 4)))
+
+
+# The public API, pinned: a name added to the package, or a test-only
+# helper moved back into it, fails here until this list says so.
+PUBLIC_API = [
+    "Boundary",
+    "ConvergenceError",
+    "CriticalSpectrum",
+    "Curve",
+    "DEFAULT_CAP",
+    "GibbsState",
+    "Kind",
+    "LaplaceReport",
+    "LaplaceRow",
+    "LawReport",
+    "MaxEntProblem",
+    "MaxEntSolution",
+    "MeanDistribution",
+    "ResourceCapError",
+    "SpectrumAtom",
+    "SpectrumError",
+    "Violation",
+    "WindowQuery",
+    "as_rational",
+    "betti_curve",
+    "check_bounds_and_max",
+    "check_domination",
+    "check_fekete",
+    "check_superadditivity",
+    "circle_height",
+    "count_window",
+    "entry_multiset",
+    "epsilon_curve",
+    "finite_rate",
+    "free_energy",
+    "gibbs",
+    "laplace_check",
+    "legendre_epsilon",
+    "maxent_rate",
+    "mean_distribution",
+    "preset",
+    "preset_names",
+    "random_windows",
+    "validate_spectrum",
+    "window_counts",
+    "window_sup_rate",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(morse_entropy.__all__) == PUBLIC_API
+    assert all(hasattr(morse_entropy, name) for name in PUBLIC_API)
 
 
 def _traced_modules():

@@ -19,11 +19,10 @@ from morse_entropy import (
     legendre_epsilon,
     maxent_rate,
     preset,
-    random_spectrum,
     validate_spectrum,
 )
 from morse_entropy import thermo as thermo_module
-from _oracles import edge_binary_entropy
+from _oracles import edge_binary_entropy, random_spectrum
 
 CIRCLE = preset("circle")
 TORUS = preset("torus")
