@@ -10,13 +10,13 @@ coefficient at a time, each needing only the D or fewer before it.
 windows, stops at the farthest window edge and holds O(D) coefficients
 plus one prefix sum per window edge, never the n*D + 1 of the whole
 grid; :func:`mean_distribution` keeps every coefficient.
-Superadditivity reads many n, so it sweeps instead: one convolution per
-step.  Domination is read from the atoms, and swept the same way only
-for a spectrum built without validation.  Whether a window holds any
-tuple at all needs no counts: :func:`occupied_windows` steps the
-support of the n-fold sum as one bitmask.  Counts stay Python integers
-throughout; the only float in this module is the final
-``log(count) / n`` of :func:`finite_rate`.
+Domination and superadditivity are read from the atoms; only for a
+spectrum built without validation do they sweep many n, one
+convolution per step.  Whether a window holds any tuple at all needs
+no counts: :func:`occupied_windows` steps the support of the n-fold
+sum as one bitmask.  Counts stay Python integers throughout; the only
+float in this module is the final ``log(count) / n`` of
+:func:`finite_rate`.
 """
 
 from __future__ import annotations
@@ -296,9 +296,10 @@ def occupied_windows(
     """Whether each window holds any n-tuple, for n = 1 .. n_max.
 
     Entry n - 1 holds, per query, ``count_window(mean_distribution(spec,
-    n, kind), query) >= 1``, exactly, without building a count.  Weights
-    are never negative (validation ensures it), so every coefficient is a
-    sum of positive products and is nonzero exactly on the support of the
+    n, kind), query) >= 1``, exactly, without building a count, when no
+    weight is negative (validation ensures it; a negative one can make a
+    count of 0 or less read as occupied).  Every coefficient is then a
+    sum of positive products, nonzero exactly on the support of the
     n-fold sum of the atoms of nonzero weight.  That support is one
     integer used as a bitmask, stepped from n - 1 to n by OR-ing its
     shifts by the atom offsets.  The cap is checked for n_max before any

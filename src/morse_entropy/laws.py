@@ -7,8 +7,9 @@ exceed critical-point counts in a window; window counts multiply into
 blended windows when tuples concatenate; per-site log counts at a fixed
 window converge to the concave rate curve; and the curves respect their
 analytic bounds with the homology curve peaking at the total homology
-dimension.  Domination is read from the atoms, and counted only for a
-spectrum built without validation.
+dimension.  Domination and superadditivity are read from the atoms, and
+counted only for a spectrum built without validation; Fekete's check
+counts exactly at its largest n alone.
 """
 
 from __future__ import annotations
@@ -118,15 +119,17 @@ def check_superadditivity(
     A tuple pair with means in the (c1, delta) and (c2, delta) windows
     concatenates to a tuple whose mean sits in the window of the same
     delta around the weighted blend of c1 and c2, so the count there is
-    at least the product.  Checked as exact integers for the homology
-    count (half-open windows) and the critical count (closed windows).
+    at least the product.  The law covers the homology count (half-open
+    windows) and the critical count (closed windows).
 
     The five draw arguments are one draw, or tuples or lists of equal
     length holding one draw per index; the report is the single-draw
-    reports concatenated in order.  Each kind
-    is swept once, to the largest n1 + n2 (its cap checked before any
-    work), and each count is a prefix-sum difference at its n: O((n1 +
-    n2)**2 * denom) work, meant for the small n that ``verify`` draws.
+    reports concatenated in order.  The cap is checked for the largest
+    n1 + n2 first.  With no weight below 0, as validation ensures, the
+    law holds: concatenation maps pairs of part tuples injectively into
+    the whole window and multiplies their weights.  So only a spectrum
+    built without validation is counted, each kind swept once to the
+    largest n1 + n2: O((n1 + n2)**2 * denom) work.
     """
     columns = [
         tuple(x) if isinstance(x, (tuple, list)) else (x,) for x in (n1, n2, c1, c2, delta)
@@ -141,6 +144,9 @@ def check_superadditivity(
         raise ValueError("n1 and n2 must be >= 1")
     kinds = (Kind.BETTI, Kind.CRITICAL)
     read = {n for a, b, *_ in draws for n in (a, b, a + b)}
+    _check_cap(spec, max(read), cap)
+    if all(atom.betti_weight >= 0 and atom.multiplicity >= 0 for atom in spec.atoms):
+        return LawReport("window_count_superadditivity", len(draws) * len(kinds), ())
     found = {}  # (draw index, kind index) -> its violation, reported draw first
     for k, kind in enumerate(kinds):
         below = {
@@ -163,8 +169,8 @@ def check_superadditivity(
     return LawReport("window_count_superadditivity", len(draws) * len(kinds), violations)
 
 
-# Deterministic spread of pair offsets for the superadditive sampling in
-# check_fekete; chosen sparse so large n_max stays affordable.
+# The sparse spread of (n1, n2) pairs that check_fekete's
+# superadditive_pairs sub-check reports, one instance each.
 _PAIR_OFFSETS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144)
 _MAX_PAIRS = 24
 
@@ -183,17 +189,19 @@ def check_fekete(
     ``delta``; the report is the single-centre reports concatenated in
     order.  Three sub-checks per centre, tagged in the violation inputs:
     ``unit_floor`` (counts are >= 1 once n exceeds 2/delta),
-    ``superadditive_pairs`` (log counts at fixed window superadd, as
-    exact integer products), and ``rate_vs_limit`` (the per-site log
-    count at n_max is within 3*log(n_max * D * B) / n_max of the concave
-    rate supremum over the window).  Requires n_max >= ceil(2/delta) + 4
-    so the tail past the unit floor is non-trivial.
+    ``superadditive_pairs`` (log counts at a fixed window superadd), and
+    ``rate_vs_limit`` (the per-site log count at n_max is within
+    3*log(n_max * D * B) / n_max of the concave rate supremum over the
+    window).  Requires n_max >= ceil(2/delta) + 4 so the tail past the
+    unit floor is non-trivial, and no betti_weight below 0 (validation
+    ensures it), so ``superadditive_pairs`` holds by the argument of
+    :func:`check_superadditivity` and is not counted.
 
-    Exact counts are taken only at the n the pair and limit sub-checks
-    read, by one :func:`window_counts` call per n.  ``unit_floor`` needs
-    to know only whether a count is >= 1, which :func:`occupied_windows`
-    answers exactly for every n from the support of the sum; a
-    violation's lhs is then the count 0.  The cap is checked for n_max before any work.
+    Exact counts are taken only at n_max, by one :func:`window_counts`
+    call.  ``unit_floor`` needs to know only whether a count is >= 1,
+    which :func:`occupied_windows` answers exactly for every n from the
+    support of the sum; a violation's lhs is then the count 0.  The cap
+    is checked for n_max before any work.
     """
     centres = tuple(map(Fraction, c)) if isinstance(c, (tuple, list)) else (Fraction(c),)
     delta = Fraction(delta)
@@ -206,23 +214,17 @@ def check_fekete(
         raise ValueError(
             f"n_max {n_max} too small: need at least ceil(2/delta) + 4 = {math.ceil(threshold) + 4}"
         )
+    if any(atom.betti_weight < 0 for atom in spec.atoms):
+        raise ValueError("every betti_weight must be >= 0")
     n_floor = math.floor(threshold) + 1  # smallest n with n > 2/delta
 
     queries = [WindowQuery(centre, delta, Kind.BETTI.boundary) for centre in centres]
     # occupied[n - 1][i] is whether centre i's window holds any n-tuple.
     occupied = occupied_windows(spec, Kind.BETTI, n_max, queries, cap=cap)
 
-    ns = sorted(
-        {n_floor + off for off in _PAIR_OFFSETS if n_floor + off <= n_max - n_floor}
-    )
-    pairs = [
-        (a, b) for a in ns for b in ns if a <= b and a + b <= n_max
-    ][:_MAX_PAIRS]
-    # counts[n][i] is the count at centre i for n sites, at the n read below.
-    counts = {
-        n: window_counts(spec, n, Kind.BETTI, queries, cap=cap)
-        for n in sorted({n for a, b in pairs for n in (a, b, a + b)} | {n_max})
-    }
+    ns = {n_floor + off for off in _PAIR_OFFSETS if n_floor + off <= n_max - n_floor}
+    n_pairs = min(_MAX_PAIRS, sum(a <= b and a + b <= n_max for a in ns for b in ns))
+    counts = window_counts(spec, n_max, Kind.BETTI, queries, cap=cap)
     values, weights = zip(*entry_multiset(spec))
     tol = 3.0 * math.log(n_max * spec.denom * spec.total_betti) / n_max
 
@@ -235,24 +237,11 @@ def check_fekete(
                 violations.append(
                     Violation(_tag(sub_check="unit_floor", n=n, c=centre, delta=delta), 0, 1)
                 )
-
-        for a, b in pairs:
-            checked += 1
-            whole, left, right = counts[a + b][i], counts[a][i], counts[b][i]
-            if whole < left * right:
-                violations.append(
-                    Violation(
-                        _tag(sub_check="superadditive_pairs", n1=a, n2=b, c=centre, delta=delta),
-                        whole,
-                        left * right,
-                    )
-                )
-
-        checked += 1
+        checked += n_pairs + 1
         sup = window_sup_rate(
             values, weights, max(Fraction(0), centre - delta), min(Fraction(1), centre + delta)
         )
-        observed = finite_rate(counts[n_max][i], n_max)
+        observed = finite_rate(counts[i], n_max)
         if not abs(observed - sup) <= tol:
             violations.append(
                 Violation(

@@ -7,9 +7,10 @@ simplex.  Slow on purpose, trustworthy on purpose.  Two instead keep a
 slower package route as the reference for a faster one, reading every
 count from the package's rolling convolution sweep ``counter._sweep``:
 :func:`full_sweep_check_fekete`, which the Fekete check does not use,
-and :func:`swept_check_domination`, which the domination check skips on
-every spectrum whose atoms prove the law.  The rest are helpers only
-the tests call: seeded spectra, report merging and a concavity scan.
+and :func:`swept_check_domination` and
+:func:`swept_check_superadditivity`, which those checks skip on every
+spectrum whose atoms prove the law.  The rest are helpers only the
+tests call: seeded spectra, report merging and a concavity scan.
 """
 
 import itertools
@@ -201,6 +202,36 @@ def swept_check_domination(spec, n_max, windows, cap=None):
                 inputs = (("n", str(n)), ("c", str(query.c)), ("delta", str(query.delta)))
                 violations.append(Violation(inputs, betti, critical))
     return LawReport("betti_dominated_by_critical", n_max * len(windows), tuple(violations))
+
+
+def swept_check_superadditivity(spec, n1, n2, c1, c2, delta, cap=None):
+    """``check_superadditivity`` with every draw counted, whatever the atoms.
+
+    Takes one draw or equal-length columns of draws, as the package does;
+    each count is a plain slice sum of the swept counts at its n.
+    """
+    columns = [x if isinstance(x, (tuple, list)) else [x] for x in (n1, n2, c1, c2, delta)]
+    draws = [
+        (a, b, Fraction(x), Fraction(y), Fraction(d)) for a, b, x, y, d in zip(*columns, strict=True)
+    ]
+    kinds = (Kind.BETTI, Kind.CRITICAL)
+    n_max = max(a + b for a, b, *_ in draws)
+    swept = {kind: (None, *_sweep(spec, kind, n_max, cap)) for kind in kinds}
+
+    def count(kind, n, c, d):
+        span = window_range(WindowQuery(c, d, kind.boundary), n * spec.denom)
+        return sum(swept[kind][n][span.start : span.stop])
+
+    violations = []
+    for a, b, x, y, d in draws:
+        for kind in kinds:
+            whole = count(kind, a + b, (a * x + b * y) / (a + b), d)
+            product = count(kind, a, x, d) * count(kind, b, y, d)
+            if whole < product:
+                inputs = (("kind", kind.value), ("n1", str(a)), ("n2", str(b)))
+                inputs += (("c1", str(x)), ("c2", str(y)), ("delta", str(d)))
+                violations.append(Violation(inputs, whole, product))
+    return LawReport("window_count_superadditivity", len(draws) * len(kinds), tuple(violations))
 
 
 def merge_reports(*reports):

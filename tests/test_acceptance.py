@@ -28,7 +28,13 @@ from morse_entropy import (
     random_windows,
     window_sup_rate,
 )
-from _oracles import concavity_check, random_spectrum, swept_check_domination
+from _oracles import (
+    concavity_check,
+    full_sweep_check_fekete,
+    random_spectrum,
+    swept_check_domination,
+    swept_check_superadditivity,
+)
 
 CIRCLE = preset("circle")
 TORUS = preset("torus")
@@ -119,6 +125,8 @@ def test_criterion_04_superadditivity():
         c2 = Fraction(rng.randint(0, 60), 60)
         delta = Fraction(rng.randint(1, 20), 40)
         report = check_superadditivity(spec, n1, n2, c1, c2, delta, cap=BIG_CAP)
+        # the atoms prove the law; the oracle still counts every draw
+        assert report == swept_check_superadditivity(spec, n1, n2, c1, c2, delta, cap=BIG_CAP)
         checked += report.instances_checked
         violations += len(report.violations)
         ok = violations == 0
@@ -138,6 +146,8 @@ def test_criterion_05_fekete_suite():
     for spec in (CIRCLE, TORUS):
         for c, delta in pairs:
             report = check_fekete(spec, c, delta, 256)
+            # the pairs are read from the atoms; the oracle counts them
+            assert report == full_sweep_check_fekete(spec, (c,), delta, 256)
             checked += report.instances_checked
             violations += len(report.violations)
     ok = violations == 0

@@ -657,6 +657,39 @@ def test_thermo_stdout_is_pinned(capsys, args, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
+# verify is byte-stable on stdout, stderr and the exit code, passes and
+# refusals alike; SEED7 stands for the seed-7 spectrum file
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["--spectrum-file", "SEED7", "--seed", "7", "--fekete-n-max", "150", "--n-max", "40",
+             "--cap", "12750"],
+            "13e34328a3e47a0fbb8b82bef1681b51a593af94114afb5961be3e002d87e587",
+        ),
+        (
+            ["--preset", "torus", "--fekete-n-max", "2000", "--cap", "100000"],
+            "a1f79be76d7d588bbd9357e674039d9779b3e2a1b79df497cb4ed6c0dc469b2e",
+        ),
+        (["--preset", "circle"], "7d5740af632b1dffde0bd216ce963ede203394620e0904db4981da3a83ed6dfb"),
+        (
+            ["--preset", "torus", "--cap", "12"],
+            "508ecf218399c1d7ed43eee9f8d5225607477429c64661128e1deb9ed5f8e2d0",
+        ),
+        (
+            ["--preset", "torus", "--fekete-n-max", "23"],
+            "0bda1e97a8bc2690f0e9f0a527a3007ea2aab2a84289766c7e33244ed2f54981",
+        ),
+    ],
+    ids=["seed7", "torus_fekete2000", "circle", "cap12_refused", "fekete23_refused"],
+)
+def test_verify_output_is_pinned(capsys, seed7_file, args, digest):
+    code = run(["verify", *(seed7_file if arg == "SEED7" else arg for arg in args)])
+    captured = capsys.readouterr()
+    record = json.dumps([code, captured.out, captured.err])
+    assert hashlib.sha256(record.encode("utf-8")).hexdigest() == digest
+
+
 # nan, inf and an overflowing float or rational are bad input, with or
 # without --laplace; before any row is printed.
 NONFINITE_BETAS = ("nan", "inf", "-inf", "1e400", "10,nan", "1" + "0" * 400 + "/1")

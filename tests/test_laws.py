@@ -34,6 +34,7 @@ from _oracles import (
     merge_reports,
     random_spectrum,
     swept_check_domination,
+    swept_check_superadditivity,
 )
 
 CIRCLE = preset("circle")
@@ -200,6 +201,9 @@ def test_superadditivity_on_presets():
             assert report.law == "window_count_superadditivity"
             assert report.instances_checked == 2
             assert report.passed, report.violations
+            assert report == swept_check_superadditivity(
+                spec, n1, n2, Fraction(1, 3), Fraction(1, 4), Fraction(1, 8)
+            )
 
 
 def test_superadditivity_with_empty_parts_is_trivial():
@@ -220,6 +224,7 @@ def test_superadditivity_on_random_spectra():
         delta = Fraction(rng.randint(1, 20), 40)
         report = check_superadditivity(spec, n1, n2, c1, c2, delta, cap=1 << 20)
         assert report.passed, report.violations
+        assert report == swept_check_superadditivity(spec, n1, n2, c1, c2, delta, cap=1 << 20)
 
 
 def test_superadditivity_input_validation():
@@ -305,15 +310,33 @@ def test_fekete_matches_the_full_sweep_oracle():
 
 
 def test_verify_fekete_reads_exact_counts_only_where_its_laws_do(monkeypatch, capsys):
+    # the pairs are read from the atoms, so the only exact count is
+    # rate_vs_limit's, at n_max = 64, for both centres in one call
     sweeps = _counting(monkeypatch, "_sweep")
     powers = _counting(monkeypatch, "window_counts")
     assert cli.run(["verify", "--preset", "torus", "--suite", "fekete"]) == 0
     assert capsys.readouterr().out == "PASS fekete_limit instances=138 violations=0\n"
     assert sweeps == []
-    read = {n for a, b in fekete_pairs(Fraction(1, 10), 64) for n in (a, b, a + b)} | {64}
-    ns = [n for spec, n, kind, queries in powers]
-    assert sorted(ns) == sorted(read)  # each n read, and each at most once
-    assert {kind for spec, n, kind, queries in powers} == {Kind.BETTI}
+    assert [(n, kind, len(queries)) for spec, n, kind, queries in powers] == [(64, Kind.BETTI, 2)]
+    assert len(fekete_pairs(Fraction(1, 10), 64)) == 24  # still counted as instances
+
+
+def test_fekete_refuses_a_negative_betti_weight_before_any_count(monkeypatch):
+    # occupied_windows reads the support, not the sign, and pairs are read
+    # from the atoms: a negative weight would pass unseen, so it is refused
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted a spectrum with a negative betti weight")
+
+    monkeypatch.setattr(laws, "window_counts", refuse)
+    monkeypatch.setattr(laws, "occupied_windows", refuse)
+    for centres, delta, n_max in (
+        ((Fraction(1, 2), Fraction(1, 4)), Fraction(1, 10), 64),
+        ((Fraction(0), Fraction(1, 3), Fraction(1, 2)), Fraction(1, 20), 45),
+    ):
+        with pytest.raises(ValueError, match="betti_weight must be >= 0"):
+            check_fekete(SIGNED, centres, delta, n_max)
+    with pytest.raises(ValueError, match="betti_weight"):
+        check_fekete(bypassed((0, 1, 1), (Fraction(1, 2), 1, -1), (1, 1, 1)), 0, Fraction(1, 10), 64)
 
 
 def test_fekete_checks_the_cap_before_building_any_distribution(monkeypatch, capsys):
@@ -362,11 +385,14 @@ def test_batched_superadditivity_equals_single_draws(monkeypatch):
             monkeypatch.undo()
             assert batched == singles
             assert powers == []
-            n_max = max(a + b for a, b in zip(draws[0], draws[1]))
-            assert [(kind, n) for _, kind, n, _ in sweeps] == [
-                (Kind.BETTI, n_max),
-                (Kind.CRITICAL, n_max),
-            ]
+            if spec is SIGNED:  # only a spectrum that fails the atom premise is swept
+                n_max = max(a + b for a, b in zip(draws[0], draws[1]))
+                assert [(kind, n) for _, kind, n, _ in sweeps] == [
+                    (Kind.BETTI, n_max),
+                    (Kind.CRITICAL, n_max),
+                ]
+            else:
+                assert sweeps == []
     assert not batched.passed  # SIGNED: violation order is compared too
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     assert check_superadditivity(TORUS, [1], [1], [half], [half], [quarter]) == (
@@ -404,20 +430,31 @@ def test_signed_superadditivity_reports_match_miller_counts():
             assert (violation.lhs, violation.rhs) == (whole, part1 * part2)
 
 
+def test_superadditivity_counts_a_negative_multiplicity():
+    # Every homology weight is >= 0, but the multiplicity -1 at 1/2 makes
+    # critical counts negative: a certificate that read only betti weights
+    # would pass this spectrum
+    spec = bypassed((0, 1, 1), (Fraction(1, 2), -1, 1), (1, 1, 1))
+    reports = [check_superadditivity(spec, *_verify_draws(seed)) for seed in (0, 7, 11)]
+    assert [len(report.violations) for report in reports] == [24, 29, 27]
+    for seed, report in zip((0, 7, 11), reports):
+        assert {dict(v.inputs)["kind"] for v in report.violations} == {"critical"}
+        assert report == swept_check_superadditivity(spec, *_verify_draws(seed))
+
+
 def test_superadditivity_frees_each_kinds_prefix_sums_before_the_next():
     # Allocation guard, not a timing assert: the benchmark's seed-601
-    # spectrum under the draws of verify --seed 601 peaks at about 0.53 MB,
-    # below check_domination's 0.84 MB at n_max = 40 on the same spectrum;
-    # keeping one kind's prefix sums through the next sweep peaks at 0.94 MB.
-    spec = validate_spectrum(
-        [
-            (Fraction(0), 2, 2),
-            (Fraction(5, 83), 2, 2),
-            (Fraction(14, 83), 1, 1),
-            (Fraction(70, 83), 3, 0),
-            (Fraction(73, 83), 4, 2),
-            (Fraction(1), 3, 2),
-        ]
+    # spectrum with homology weight -1 at 14/83 passes the law under the
+    # draws of verify --seed 601 but not the atom premise, so it is swept.
+    # It peaks at about 0.53 MB; keeping one kind's prefix sums through
+    # the next sweep peaks at about 0.92 MB.
+    spec = bypassed(
+        (0, 2, 2),
+        (Fraction(5, 83), 2, 2),
+        (Fraction(14, 83), 1, -1),
+        (Fraction(70, 83), 3, 0),
+        (Fraction(73, 83), 4, 2),
+        (1, 3, 2),
     )
     draws = _verify_draws(601)
     tracemalloc.start()
@@ -455,7 +492,7 @@ def test_verify_traces_one_superadditivity_call(monkeypatch, capsys):
     assert out == "PASS window_count_superadditivity instances=100 violations=0\n"
     assert len(calls) == 1
     assert calls[0][1:] == tuple(_verify_draws(0, windows=0))
-    assert powers == [] and len(sweeps) == 2
+    assert powers == [] and sweeps == []  # the torus's atoms prove the law
 
 
 def test_bounds_and_max_on_presets():
