@@ -9,7 +9,8 @@ with --cap.
 
 Curve output is byte-stable: a fixed header ``c,epsilon,betti,log_p_bound``,
 12 significant digits, ``-inf`` spelled literally, and newline-terminated
-rows, so repeated runs diff clean.
+rows, so repeated runs diff clean.  CSV rows are written 256 at a time, so
+memory does not grow with the printed text; JSON is still built whole.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import repeat
-from typing import List, Optional, Sequence
+from itertools import islice, repeat
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .counter import (
     Boundary,
@@ -74,6 +75,9 @@ def _json_value(x: float):
     return _fmt12(x)
 
 
+_CHUNK_ROWS = 256  # CSV rows per write: few syscalls, and no whole text in memory
+
+
 def emit_curve(
     epsilon: Optional[Curve],
     betti: Optional[Curve],
@@ -81,6 +85,11 @@ def emit_curve(
     fmt: str = "csv",
 ) -> str:
     """Serialise curves on a shared grid as text; see the module docstring for the format."""
+    return "".join(_curve_chunks(epsilon, betti, log_p_bound, fmt))
+
+
+def _curve_chunks(epsilon, betti, log_p_bound, fmt) -> Iterator[str]:
+    """emit_curve's text in pieces: the CSV header, then ``_CHUNK_ROWS`` rows at a time."""
     if epsilon is None and betti is None:
         raise ValueError("need at least one curve to emit")
     if epsilon is not None and betti is not None and epsilon.grid != betti.grid:
@@ -95,10 +104,11 @@ def emit_curve(
             bet = map(_fmt12, betti.rates) if betti is not None else repeat("")
             rates = (f"{e},{b}" for e, b in zip(eps, bet))
         bound = _fmt12(log_p_bound)
-        lines = ["c,epsilon,betti,log_p_bound"]
-        lines += [f"{_fmt12(float(c))},{pair},{bound}" for c, pair in zip(grid, rates)]
-        lines.append("")  # the final newline, without copying the joined text
-        return "\n".join(lines)
+        rows = (f"{_fmt12(float(c))},{pair},{bound}\n" for c, pair in zip(grid, rates))
+        yield "c,epsilon,betti,log_p_bound\n"
+        while chunk := "".join(islice(rows, _CHUNK_ROWS)):
+            yield chunk
+        return
     if fmt == "json":
         import json
 
@@ -113,7 +123,8 @@ def emit_curve(
             "betti": bet,
             "log_p_bound": _json_value(log_p_bound),
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        yield json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        return
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -194,12 +205,12 @@ def _load_spectrum(args) -> CriticalSpectrum:
     return validate_spectrum(raw)
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
+def _write_output(chunks: Iterable[str], out: Optional[str]) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
 def _cmd_spectrum(args) -> int:
@@ -215,12 +226,12 @@ def _cmd_spectrum(args) -> int:
             }
             for a in spec.atoms
         ]
-        _write_output(json.dumps(records, indent=2) + "\n", args.out)
+        _write_output([json.dumps(records, indent=2) + "\n"], args.out)
         return 0
     lines = [f"ok atoms={len(spec.atoms)} p={spec.p} B={spec.total_betti} denom={spec.denom}"]
     for a in spec.atoms:
         lines.append(f"{a.value} {a.multiplicity} {a.betti_weight}")
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_output(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -236,7 +247,7 @@ def _cmd_curve(args) -> int:
     for curve in (eps, bet):
         if curve is not None and any(math.isnan(r) for r in curve.rates):
             raise ConvergenceError("rate solver failed to converge on the grid")
-    _write_output(emit_curve(eps, bet, math.log(spec.p), args.fmt), args.out)
+    _write_output(_curve_chunks(eps, bet, math.log(spec.p), args.fmt), args.out)
     return 0
 
 

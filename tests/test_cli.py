@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morse_entropy import LawReport, Violation, preset, preset_names
+from morse_entropy import LawReport, Violation, preset, preset_names, validate_spectrum
 from morse_entropy import cli as cli_module
 from morse_entropy import thermo as thermo_module
 from morse_entropy.cli import emit_curve, run
@@ -42,15 +44,20 @@ def _readme_examples():
 README_EXAMPLES = _readme_examples()
 
 
-def _module_run(*args, preexec_fn=None, **env):
-    """Run ``python -m morse_entropy`` on this source tree in a child process."""
+def _child_env(**env):
+    """The environment of a child that imports ``morse_entropy`` from this source tree."""
     src = str(Path(cli_module.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **env}
+
+
+def _module_run(*args, preexec_fn=None, **env):
+    """Run ``python -m morse_entropy`` on this source tree in a child process."""
     return subprocess.run(
         [sys.executable, "-m", "morse_entropy", *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path, **env},
+        env=_child_env(**env),
         preexec_fn=preexec_fn,
     )
 
@@ -196,6 +203,104 @@ def test_curve_stdout_equals_out_file(tmp_path, capsys, fmt):
     assert run([*args, "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_bytes() == printed.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "source, grid, kind, fmt",
+    [
+        ("torus", 5001, "both", "csv"),
+        ("torus", 5001, "both", "json"),
+        ("seed7", 2001, "both", "csv"),
+        ("seed7", 2001, "both", "json"),
+        ("torus", 1001, "epsilon", "csv"),
+        ("torus", 1001, "betti", "csv"),
+    ],
+)
+def test_curve_stdout_out_file_and_emit_curve_are_byte_identical(
+    tmp_path, capsys, seed7_file, source, grid, kind, fmt
+):
+    # stdout and --out are written chunk by chunk; emit_curve joins the
+    # same chunks, and the curves it gets here are solved separately
+    if source == "torus":
+        spec, flags = preset("torus"), ["--preset", "torus"]
+    else:
+        spec = validate_spectrum(
+            [(r["value"], r["multiplicity"], r["betti_weight"]) for r in SEED7_RECORDS]
+        )
+        flags = ["--spectrum-file", seed7_file]
+    args = ["curve", *flags, "--grid", str(grid), "--kind", kind, "--format", fmt]
+    target = tmp_path / "curve.out"
+    assert run(args) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    assert run([*args, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    eps = epsilon_curve(spec, grid) if kind != "betti" else None
+    bet = betti_curve(spec, grid) if kind != "epsilon" else None
+    emitted = emit_curve(eps, bet, math.log(spec.p), fmt).encode("utf-8")
+    assert target.read_bytes() == printed == emitted
+
+
+class _CountingStream(io.StringIO):
+    """A text stream that counts the write calls reaching it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("grid", [2, 255, 256, 257, 5001])
+def test_curve_csv_reaches_its_stream_in_few_writes(monkeypatch, grid):
+    # guards the number of writes, not their time: under PYTHONUNBUFFERED=1
+    # every write to stdout is a syscall, so one write per row would make
+    # one syscall per row
+    stream = _CountingStream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert run(["curve", "--preset", "torus", "--grid", str(grid)]) == 0
+    assert stream.getvalue().count("\n") == grid + 1
+    assert stream.writes <= -(-grid // 256) + 1
+
+
+def test_curve_memory_does_not_grow_with_the_printed_text(tmp_path):
+    # Allocation guard, not a timing assert: building the whole CSV text
+    # before writing it peaked 2.7 MB above the curve alone (Python 3.11).
+    torus = preset("torus")
+    target = str(tmp_path / "curve.csv")
+    tracemalloc.start()
+    try:
+        epsilon_curve(torus, 16384)
+        curve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        code = run(["curve", "--preset", "torus", "--grid", "16384", "--out", target])
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert run_peak - curve_peak < (1 << 20) // 2
+
+
+def test_curve_to_a_closed_pipe_exits_one_without_a_traceback():
+    # The reader closes the pipe after 10 bytes; the rest of the curve is
+    # still being written.  With PYTHONUNBUFFERED unset stdout is block
+    # buffered, so no written bytes may be left for the exit flush to fail on.
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen(
+        [sys.executable, "-m", "morse_entropy", "curve", "--preset", "torus", "--grid", "16384"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert head == b"c,epsilon,"
+    assert code == 1
+    assert err == b"error: [Errno 32] Broken pipe\n"
 
 
 def test_curve_json_single_kind(capsys):
