@@ -7,34 +7,26 @@ the coefficient of x**s in the n-th power of the single-site histogram.
 One power comes from J.C.P. Miller's recurrence, streamed one
 coefficient at a time, each needing only the D or fewer before it.
 :func:`window_counts` sums the stream from the grid end nearer its
-windows, stops at the farthest window edge and holds O(D) coefficients
-plus one prefix sum per window edge, never the n*D + 1 of the whole
-grid; :func:`mean_distribution` keeps every coefficient.
-Domination and superadditivity are read from the atoms; only for a
-spectrum built without validation do they sweep many n, one
-convolution per step.  Whether a window holds any tuple at all needs
-no counts: :func:`occupied_windows` steps the support of the n-fold
-sum as one bitmask.  Counts stay Python integers throughout; the only
-float in this module is the final ``log(count) / n`` of
-:func:`finite_rate`.
+windows, stops at the farthest window edge and holds those D or fewer
+coefficients plus one prefix sum per window edge, never the n*D + 1 of
+the whole grid; :func:`mean_distribution` keeps every coefficient.
+Counts stay Python integers throughout; the only float in this module
+is the final ``log(count) / n`` of :func:`finite_rate`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import add, mul
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .spectrum import CriticalSpectrum, as_rational
 
 #: Largest sum grid (n * denom) built without an explicit override.
 DEFAULT_CAP = 16384
-
-# Recurrence steps between trims of the coefficients :func:`window_counts` holds.
-_TRIM = 256
 
 
 class ResourceCapError(RuntimeError):
@@ -142,30 +134,21 @@ def _site_histogram(spec: CriticalSpectrum, kind: Kind) -> Tuple[int, ...]:
     return tuple(site)
 
 
-def _convolve(counts: Tuple[int, ...], site: Tuple[int, ...]) -> Tuple[int, ...]:
-    out = [0] * (len(counts) + len(site) - 1)
-    first = True
-    for offset, w in enumerate(site):
-        if w:
-            end = offset + len(counts)
-            scaled = counts if w == 1 else map(mul, counts, repeat(w))
-            # the first atom lands on zeros, so it is stored, not added
-            out[offset:end] = scaled if first else map(add, out[offset:end], scaled)
-            first = False
-    return tuple(out)
-
-
 def _miller(site: Tuple[int, ...], n: int) -> Iterator[int]:
     """The coefficients of P(x)**n, lowest first, P given by its coefficients ``site``.
 
-    J.C.P. Miller's recurrence: with P = x**low * Q, q_0 = Q(0) != 0 and e
-    the degree of Q, the coefficients of Q**n satisfy
+    J.C.P. Miller's recurrence: with P = x**low * Q, q_0 = Q(0) != 0 and
+    ``span`` the degree of Q (the distance from the lowest nonzero
+    coefficient of ``site`` to the highest, at most len(site) - 1), the
+    coefficients of Q**n satisfy
     k * q_0 * a_k = sum_j ((n + 1) * j - k) * q_j * a_(k-j),
     an exact division, summed over the nonzero q_j only, so a_k reads only
-    the e coefficients before it.  Each term keeps (n + 1) * j * q_j, and
-    ``a`` starts with e zeros, which stand for the a_(k-j) with j > k.
-    Every :data:`_TRIM` steps ``a`` drops all but its last e coefficients,
-    so a caller that stops early never holds the whole power.
+    the ``span`` coefficients before it.  Each term keeps (n + 1) * j * q_j.
+    Those ``span`` coefficients are all the generator holds: ``before``
+    starts as ``span`` zeros, which stand for the a_(k-j) with j > k, and
+    drops its oldest as each a_k joins.  A site with one nonzero
+    coefficient has span 0: its power is the one term q_0**n, and
+    ``before`` is never read.
     """
     nonzero = [j for j, w in enumerate(site) if w]
     if not nonzero:
@@ -175,16 +158,16 @@ def _miller(site: Tuple[int, ...], n: int) -> Iterator[int]:
     span = nonzero[-1] - low
     terms = [(low - j, (n + 1) * (j - low) * site[j], site[j]) for j in nonzero[1:]]
     yield from repeat(0, n * low)
-    a = [0] * span + [q0 ** n]
-    yield a[-1]
+    before = deque(repeat(0, span), maxlen=span)
+    a_k = q0 ** n
+    yield a_k
     for k in range(1, n * span + 1):
+        before.append(a_k)
         total = 0
         for back, nq, q in terms:
-            total += (nq - k * q) * a[back]
-        a.append(total // (k * q0))
-        yield a[-1]
-        if not k % _TRIM:
-            del a[:-span]
+            total += (nq - k * q) * before[back]
+        a_k = total // (k * q0)
+        yield a_k
     yield from repeat(0, n * (len(site) - 1 - nonzero[-1]))
 
 
@@ -224,9 +207,11 @@ def window_counts(
     q) for q in queries)``.  Miller's recurrence streams from the grid end
     nearer the windows (from the top on the reversed site, whose n-th
     power holds the coefficients in reverse order) and is summed between
-    the sorted window edges, up to the farthest one.  So this holds at most
-    denom + 256 coefficients plus one prefix sum per window edge.  The cap
-    is checked as in :func:`mean_distribution`, before any work.
+    the sorted window edges, up to the farthest one.  So this holds the
+    ``span`` <= denom coefficients the recurrence reads (``span`` being the
+    distance between the lowest and highest nonzero offsets of the site
+    histogram) plus one prefix sum per window edge.  The cap is checked as
+    in :func:`mean_distribution`, before any work.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -246,21 +231,6 @@ def window_counts(
         below[cut] = below[done] + sum(islice(coeffs, cut - done))
         done = cut
     return tuple(below[span.stop] - below[span.start] if span else 0 for span in spans)
-
-
-def _sweep(
-    spec: CriticalSpectrum, kind: Kind, n_max: int, cap: Optional[int]
-) -> Iterator[Tuple[int, ...]]:
-    """Counts on the grid s / (n * denom) for n = 1 .. n_max, one convolution a step.
-
-    Only the current counts are held.  The cap is checked for n_max first.
-    """
-    _check_cap(spec, n_max, cap)
-    site = _site_histogram(spec, kind)
-    counts = (1,)
-    for _ in range(n_max):
-        counts = _convolve(counts, site)
-        yield counts
 
 
 def window_range(query: WindowQuery, grid_denom: int) -> range:
@@ -283,40 +253,6 @@ def count_window(dist: MeanDistribution, query: WindowQuery) -> int:
     """Exact number of tuples whose mean falls in the window; see :func:`window_range`."""
     span = window_range(query, dist.grid_denom)
     return sum(dist.counts[span.start : span.stop])
-
-
-def occupied_windows(
-    spec: CriticalSpectrum,
-    kind: Kind,
-    n_max: int,
-    queries: Sequence[WindowQuery],
-    *,
-    cap: Optional[int] = None,
-) -> List[Tuple[bool, ...]]:
-    """Whether each window holds any n-tuple, for n = 1 .. n_max.
-
-    Entry n - 1 holds, per query, ``count_window(mean_distribution(spec,
-    n, kind), query) >= 1``, exactly, without building a count, when no
-    weight is negative (validation ensures it; a negative one can make a
-    count of 0 or less read as occupied).  Every coefficient is then a
-    sum of positive products, nonzero exactly on the support of the
-    n-fold sum of the atoms of nonzero weight.  That support is one
-    integer used as a bitmask, stepped from n - 1 to n by OR-ing its
-    shifts by the atom offsets.  The cap is checked for n_max before any
-    work.
-    """
-    _check_cap(spec, n_max, cap)
-    offsets = [s for s, w in enumerate(_site_histogram(spec, kind)) if w]
-    support = 1
-    out = []
-    for n in range(1, n_max + 1):
-        step = 0
-        for offset in offsets:
-            step |= support << offset
-        support = step
-        spans = [window_range(query, n * spec.denom) for query in queries]
-        out.append(tuple(bool(support >> s.start & ((1 << len(s)) - 1)) for s in spans))
-    return out
 
 
 def finite_rate(count: int, n: int) -> float:

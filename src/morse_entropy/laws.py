@@ -7,9 +7,12 @@ exceed critical-point counts in a window; window counts multiply into
 blended windows when tuples concatenate; per-site log counts at a fixed
 window converge to the concave rate curve; and the curves respect their
 analytic bounds with the homology curve peaking at the total homology
-dimension.  Domination and superadditivity are read from the atoms, and
-counted only for a spectrum built without validation; Fekete's check
-counts exactly at its largest n alone.
+dimension.  The first three rest on one premise about the atoms, which
+validation ensures and each of them checks before any count: 0 <=
+betti_weight <= multiplicity, and atoms at 0 and 1 with betti_weight
+>= 1.  On it, domination, superadditivity and Fekete's unit floor are
+certificates read off the atoms; the one exact count is Fekete's, at
+its largest n.
 """
 
 from __future__ import annotations
@@ -17,21 +20,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .counter import (
-    Kind,
-    WindowQuery,
-    _check_cap,
-    _sweep,
-    finite_rate,
-    occupied_windows,
-    window_counts,
-    window_range,
-)
+from .counter import Kind, WindowQuery, _check_cap, finite_rate, window_counts
 from .rate import betti_curve, epsilon_curve, maxent_rate, MaxEntProblem, window_sup_rate
-from .spectrum import CriticalSpectrum, entry_multiset
+from .spectrum import CriticalSpectrum, entry_multiset, validate_spectrum
 
 
 class Violation(NamedTuple):
@@ -56,6 +49,18 @@ def _tag(**kwargs) -> Tuple[Tuple[str, str], ...]:
     return tuple((k, str(v)) for k, v in kwargs.items())
 
 
+def _check_premise(spec: CriticalSpectrum) -> None:
+    """Refuse atoms the law certificates cannot stand on, naming the broken invariant.
+
+    The certificates need 0 <= betti_weight <= multiplicity at every atom,
+    and atoms at 0 and at 1 with betti_weight >= 1.  Validation ensures
+    both, so the atoms are validated again: one that breaks an invariant
+    raises the :class:`~.spectrum.SpectrumError` (a ``ValueError``)
+    validation raises for it, tagged with the invariant.
+    """
+    validate_spectrum(spec.atoms)
+
+
 def check_domination(
     spec: CriticalSpectrum,
     n_max: int,
@@ -68,40 +73,21 @@ def check_domination(
     The homology side is counted half-open, the critical side closed, so
     the comparison is exactly the one the downstream rate inequality
     rests on; the ``boundary`` field of the supplied windows is ignored.
-    ``n_max`` must be at least 1, ``windows`` nonempty, and n_max within
-    the cap.  The law is read from the atoms when each has 0 <=
-    betti_weight <= multiplicity, as validation ensures: the homology
-    site histogram is then at most the critical one in every coefficient,
-    n-th powers of nonnegative polynomials keep that order, and the
-    half-open window lies inside the closed one.  Only a spectrum built
-    without validation is counted, one prefix-summed sweep step at a time.
+    ``n_max`` must be at least 1, ``windows`` nonempty, the atoms must
+    meet the premise of :func:`_check_premise`, and n_max must be within
+    the cap.  The law is then a certificate, one instance per (n,
+    window): 0 <= betti_weight <= multiplicity makes the homology site
+    histogram at most the critical one in every coefficient, n-th powers
+    of nonnegative polynomials keep that order, and the half-open window
+    lies inside the closed one.  Nothing is counted.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not windows:
         raise ValueError("need at least one window")
+    _check_premise(spec)
     _check_cap(spec, n_max, cap)
-    if all(0 <= atom.betti_weight <= atom.multiplicity for atom in spec.atoms):
-        return LawReport("betti_dominated_by_critical", n_max * len(windows), ())
-    betti_queries = [WindowQuery(q.c, q.delta, Kind.BETTI.boundary) for q in windows]
-    critical_queries = [WindowQuery(q.c, q.delta, Kind.CRITICAL.boundary) for q in windows]
-    violations: List[Violation] = []
-    n = 0
-    for counts_c, counts_b in zip(
-        _sweep(spec, Kind.CRITICAL, n_max, cap), _sweep(spec, Kind.BETTI, n_max, cap)
-    ):
-        n += 1
-        below_c = list(accumulate(counts_c, initial=0))
-        below_b = list(accumulate(counts_b, initial=0))
-        for query, betti_query, critical_query in zip(windows, betti_queries, critical_queries):
-            span = window_range(betti_query, n * spec.denom)
-            betti = below_b[span.stop] - below_b[span.start]
-            span = window_range(critical_query, n * spec.denom)
-            critical = below_c[span.stop] - below_c[span.start]
-            if betti > critical:
-                violations.append(Violation(_tag(n=n, c=query.c, delta=query.delta), betti, critical))
-        del below_c, below_b  # before the sweeps build step n + 1
-    return LawReport("betti_dominated_by_critical", n_max * len(windows), tuple(violations))
+    return LawReport("betti_dominated_by_critical", n_max * len(windows), ())
 
 
 def check_superadditivity(
@@ -123,13 +109,12 @@ def check_superadditivity(
     windows) and the critical count (closed windows).
 
     The five draw arguments are one draw, or tuples or lists of equal
-    length holding one draw per index; the report is the single-draw
-    reports concatenated in order.  The cap is checked for the largest
-    n1 + n2 first.  With no weight below 0, as validation ensures, the
-    law holds: concatenation maps pairs of part tuples injectively into
-    the whole window and multiplies their weights.  So only a spectrum
-    built without validation is counted, each kind swept once to the
-    largest n1 + n2: O((n1 + n2)**2 * denom) work.
+    length holding one draw per index; the report has one instance per
+    draw and kind.  The atoms must meet the premise of
+    :func:`_check_premise`, and the cap is checked for the largest
+    n1 + n2.  The law is then a certificate: with no weight below 0,
+    concatenation maps pairs of part tuples injectively into the whole
+    window and multiplies their weights.  Nothing is counted.
     """
     columns = [
         tuple(x) if isinstance(x, (tuple, list)) else (x,) for x in (n1, n2, c1, c2, delta)
@@ -142,31 +127,9 @@ def check_superadditivity(
         raise ValueError("need at least one draw")
     if any(a < 1 or b < 1 for a, b, *_ in draws):
         raise ValueError("n1 and n2 must be >= 1")
-    kinds = (Kind.BETTI, Kind.CRITICAL)
-    read = {n for a, b, *_ in draws for n in (a, b, a + b)}
-    _check_cap(spec, max(read), cap)
-    if all(atom.betti_weight >= 0 and atom.multiplicity >= 0 for atom in spec.atoms):
-        return LawReport("window_count_superadditivity", len(draws) * len(kinds), ())
-    found = {}  # (draw index, kind index) -> its violation, reported draw first
-    for k, kind in enumerate(kinds):
-        below = {
-            n: list(accumulate(counts, initial=0))
-            for n, counts in enumerate(_sweep(spec, kind, max(read), cap), 1)
-            if n in read
-        }
-        for i, (a, b, x, y, d) in enumerate(draws):
-            whole, part1, part2 = (
-                below[n][span.stop] - below[n][span.start]
-                for n, c in ((a + b, (a * x + b * y) / (a + b)), (a, x), (b, y))
-                for span in (window_range(WindowQuery(c, d, kind.boundary), n * spec.denom),)
-            )
-            if whole < part1 * part2:
-                found[i, k] = Violation(
-                    _tag(kind=kind.value, n1=a, n2=b, c1=x, c2=y, delta=d), whole, part1 * part2
-                )
-        del below  # before the next kind's sweep
-    violations = tuple(found[key] for key in sorted(found))
-    return LawReport("window_count_superadditivity", len(draws) * len(kinds), violations)
+    _check_premise(spec)
+    _check_cap(spec, max(a + b for a, b, *_ in draws), cap)
+    return LawReport("window_count_superadditivity", 2 * len(draws), ())
 
 
 # The sparse spread of (n1, n2) pairs that check_fekete's
@@ -193,15 +156,17 @@ def check_fekete(
     ``rate_vs_limit`` (the per-site log count at n_max is within
     3*log(n_max * D * B) / n_max of the concave rate supremum over the
     window).  Requires n_max >= ceil(2/delta) + 4 so the tail past the
-    unit floor is non-trivial, and no betti_weight below 0 (validation
-    ensures it), so ``superadditive_pairs`` holds by the argument of
-    :func:`check_superadditivity` and is not counted.
+    unit floor is non-trivial, atoms that meet the premise of
+    :func:`_check_premise`, and n_max within the cap, in that order.
 
-    Exact counts are taken only at n_max, by one :func:`window_counts`
-    call.  ``unit_floor`` needs to know only whether a count is >= 1,
-    which :func:`occupied_windows` answers exactly for every n from the
-    support of the sum; a violation's lhs is then the count 0.  The cap
-    is checked for n_max before any work.
+    The first two sub-checks are certificates.  ``superadditive_pairs``
+    holds by the argument of :func:`check_superadditivity`.
+    ``unit_floor`` holds since the atoms at 0 and 1 carry homology, so
+    tuples of 0s and 1s reach every mean k/n.  A half-open window that
+    meets [0, 1] holds 0 if it reaches below 0, holds 1 if it reaches
+    past 1, and otherwise lies in [0, 1] with width 2*delta > 1/n.  Only
+    ``rate_vs_limit`` is counted, every centre at n_max by one
+    :func:`window_counts` call.
     """
     centres = tuple(map(Fraction, c)) if isinstance(c, (tuple, list)) else (Fraction(c),)
     delta = Fraction(delta)
@@ -214,14 +179,11 @@ def check_fekete(
         raise ValueError(
             f"n_max {n_max} too small: need at least ceil(2/delta) + 4 = {math.ceil(threshold) + 4}"
         )
-    if any(atom.betti_weight < 0 for atom in spec.atoms):
-        raise ValueError("every betti_weight must be >= 0")
+    _check_premise(spec)
+    _check_cap(spec, n_max, cap)
     n_floor = math.floor(threshold) + 1  # smallest n with n > 2/delta
 
     queries = [WindowQuery(centre, delta, Kind.BETTI.boundary) for centre in centres]
-    # occupied[n - 1][i] is whether centre i's window holds any n-tuple.
-    occupied = occupied_windows(spec, Kind.BETTI, n_max, queries, cap=cap)
-
     ns = {n_floor + off for off in _PAIR_OFFSETS if n_floor + off <= n_max - n_floor}
     n_pairs = min(_MAX_PAIRS, sum(a <= b and a + b <= n_max for a in ns for b in ns))
     counts = window_counts(spec, n_max, Kind.BETTI, queries, cap=cap)
@@ -229,19 +191,11 @@ def check_fekete(
     tol = 3.0 * math.log(n_max * spec.denom * spec.total_betti) / n_max
 
     violations: List[Violation] = []
-    checked = 0
-    for i, centre in enumerate(centres):
-        for n in range(n_floor, n_max + 1):
-            checked += 1
-            if not occupied[n - 1][i]:
-                violations.append(
-                    Violation(_tag(sub_check="unit_floor", n=n, c=centre, delta=delta), 0, 1)
-                )
-        checked += n_pairs + 1
+    for centre, count in zip(centres, counts):
         sup = window_sup_rate(
             values, weights, max(Fraction(0), centre - delta), min(Fraction(1), centre + delta)
         )
-        observed = finite_rate(counts[i], n_max)
+        observed = finite_rate(count, n_max)
         if not abs(observed - sup) <= tol:
             violations.append(
                 Violation(
@@ -250,6 +204,7 @@ def check_fekete(
                     sup,
                 )
             )
+    checked = len(centres) * (n_max - n_floor + 1 + n_pairs + 1)
     return LawReport("fekete_limit", checked, tuple(violations))
 
 

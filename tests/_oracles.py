@@ -3,20 +3,20 @@
 Most of these touch no package counting or root-finding code:
 distributions come from enumerating weighted atom tuples, constrained
 entropy maxima from scanning the feasible slice of the probability
-simplex.  Slow on purpose, trustworthy on purpose.  Two instead keep a
-slower package route as the reference for a faster one, reading every
-count from the package's rolling convolution sweep ``counter._sweep``:
-:func:`full_sweep_check_fekete`, which the Fekete check does not use,
-and :func:`swept_check_domination` and
-:func:`swept_check_superadditivity`, which those checks skip on every
-spectrum whose atoms prove the law.  The rest are helpers only the
-tests call: seeded spectra, report merging and a concavity scan.
+simplex.  Slow on purpose, trustworthy on purpose.  The law oracles
+instead count every instance with the rolling convolution sweep
+:func:`_sweep`, whatever the atoms: :func:`full_sweep_check_fekete`,
+:func:`swept_check_domination` and :func:`swept_check_superadditivity`
+keep counting the hand-built spectra that the package's certificates
+refuse.  The rest are helpers only the tests call: seeded spectra,
+report merging and a concavity scan.
 """
 
 import itertools
 import math
 import random
 from fractions import Fraction
+from operator import add, mul
 
 from morse_entropy import (
     Kind,
@@ -28,8 +28,35 @@ from morse_entropy import (
     validate_spectrum,
     window_sup_rate,
 )
-from morse_entropy.counter import _sweep, window_range
+from morse_entropy.counter import _check_cap, _site_histogram, window_range
 from morse_entropy.laws import _MAX_PAIRS, _PAIR_OFFSETS
+
+
+def _convolve(counts, site):
+    """The coefficients of the product of two polynomials, given by theirs."""
+    out = [0] * (len(counts) + len(site) - 1)
+    first = True
+    for offset, w in enumerate(site):
+        if w:
+            end = offset + len(counts)
+            scaled = counts if w == 1 else map(mul, counts, itertools.repeat(w))
+            # the first atom lands on zeros, so it is stored, not added
+            out[offset:end] = scaled if first else map(add, out[offset:end], scaled)
+            first = False
+    return tuple(out)
+
+
+def _sweep(spec, kind, n_max, cap):
+    """Counts on the grid s / (n * denom) for n = 1 .. n_max, one convolution a step.
+
+    Only the current counts are held.  The cap is checked for n_max first.
+    """
+    _check_cap(spec, n_max, cap)
+    site = _site_histogram(spec, kind)
+    counts = (1,)
+    for _ in range(n_max):
+        counts = _convolve(counts, site)
+        yield counts
 
 
 def tuple_mean_counts(spec, n, kind):
@@ -124,8 +151,8 @@ def fekete_pairs(delta, n_max):
 def full_sweep_check_fekete(spec, centres, delta, n_max, cap=None):
     """``check_fekete`` as one sweep over every n = 1 .. n_max.
 
-    Every sub-check reads the exact count, including ``unit_floor``,
-    which the package answers from the support instead.
+    Every sub-check reads the exact count, including ``unit_floor`` and
+    ``superadditive_pairs``, which the package reads off the atoms instead.
     """
     centres = tuple(map(Fraction, centres))
     delta = Fraction(delta)

@@ -124,6 +124,17 @@ SEED7_RECORDS = [
 ]
 
 
+# the spectrum bench/references.py draws for seed 0 (D = 87)
+BENCH_SEED0_RECORDS = [
+    {"value": "0", "multiplicity": 2, "betti_weight": 2},
+    {"value": "13/29", "multiplicity": 1, "betti_weight": 0},
+    {"value": "46/87", "multiplicity": 3, "betti_weight": 3},
+    {"value": "52/87", "multiplicity": 4, "betti_weight": 2},
+    {"value": "62/87", "multiplicity": 2, "betti_weight": 2},
+    {"value": "1", "multiplicity": 3, "betti_weight": 1},
+]
+
+
 @pytest.fixture
 def seed7_file(tmp_path):
     path = tmp_path / "seed7.json"
@@ -763,13 +774,21 @@ def test_thermo_stdout_is_pinned(capsys, args, digest):
 
 
 # verify is byte-stable on stdout, stderr and the exit code, passes and
-# refusals alike; SEED7 stands for the seed-7 spectrum file
+# refusals alike; SEED7 and SEED0 stand for those spectrum files.  The
+# seed0 and torus_fekete2000 cases are the two ops of the benchmark's
+# verify_sweep workload; a passing run prints only the laws and their
+# instance counts, so seed0 and seed7 share a digest.
 @pytest.mark.parametrize(
     "args, digest",
     [
         (
             ["--spectrum-file", "SEED7", "--seed", "7", "--fekete-n-max", "150", "--n-max", "40",
              "--cap", "12750"],
+            "13e34328a3e47a0fbb8b82bef1681b51a593af94114afb5961be3e002d87e587",
+        ),
+        (
+            ["--spectrum-file", "SEED0", "--seed", "0", "--fekete-n-max", "150", "--n-max", "40",
+             "--cap", str(150 * 87)],
             "13e34328a3e47a0fbb8b82bef1681b51a593af94114afb5961be3e002d87e587",
         ),
         (
@@ -786,10 +805,13 @@ def test_thermo_stdout_is_pinned(capsys, args, digest):
             "0bda1e97a8bc2690f0e9f0a527a3007ea2aab2a84289766c7e33244ed2f54981",
         ),
     ],
-    ids=["seed7", "torus_fekete2000", "circle", "cap12_refused", "fekete23_refused"],
+    ids=["seed7", "seed0", "torus_fekete2000", "circle", "cap12_refused", "fekete23_refused"],
 )
-def test_verify_output_is_pinned(capsys, seed7_file, args, digest):
-    code = run(["verify", *(seed7_file if arg == "SEED7" else arg for arg in args)])
+def test_verify_output_is_pinned(capsys, seed7_file, tmp_path, args, digest):
+    seed0_file = tmp_path / "seed0.json"
+    seed0_file.write_text(json.dumps(BENCH_SEED0_RECORDS), encoding="utf-8")
+    files = {"SEED7": seed7_file, "SEED0": str(seed0_file)}
+    code = run(["verify", *(files.get(arg, arg) for arg in args)])
     captured = capsys.readouterr()
     record = json.dumps([code, captured.out, captured.err])
     assert hashlib.sha256(record.encode("utf-8")).hexdigest() == digest
