@@ -113,10 +113,7 @@ def _curve_chunks(epsilon, betti, log_p_bound, fmt) -> Iterator[str]:
         import json
 
         eps = [_json_value(r) for r in epsilon.rates] if epsilon is not None else None
-        if betti is epsilon:
-            bet = eps
-        else:
-            bet = [_json_value(r) for r in betti.rates] if betti is not None else None
+        bet = [_json_value(r) for r in betti.rates] if betti is not None else None
         payload = {
             "c": [_json_value(float(c)) for c in grid],
             "epsilon": eps,

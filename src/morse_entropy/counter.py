@@ -94,28 +94,23 @@ class WindowQuery(
 ):
     """A value window [c - delta, c + delta] with an endpoint convention.
 
-    ``c`` and ``delta`` are read by :func:`~.spectrum.as_rational`.  The
-    edges c - delta and c + delta are kept as integer numerators ``_lo``
-    and ``_hi`` over ``_den``; they are not fields, so equality, hashing
-    and the repr ignore them.
+    ``c`` and ``delta`` are read by :func:`~.spectrum.as_rational`; ``delta``
+    must be positive and the window must meet [0, 1].
     """
+
+    __slots__ = ()
 
     def __new__(cls, c: Fraction, delta: Fraction, boundary: Boundary = Boundary.CLOSED_CLOSED):
         c, delta = as_rational(c), as_rational(delta)
-        den = math.lcm(c.denominator, delta.denominator)
-        centre = c.numerator * (den // c.denominator)
-        half = delta.numerator * (den // delta.denominator)
-        if half <= 0:
+        if delta <= 0:
             raise ValueError(f"delta must be positive, got {delta}")
-        if not (centre - half < den and centre + half > 0):
+        if not -delta < c < 1 + delta:
             raise ValueError(f"window around {c} +- {delta} misses [0, 1]")
-        self = super().__new__(cls, c, delta, boundary)
-        self._lo, self._hi, self._den = centre - half, centre + half, den
-        return self
+        return super().__new__(cls, c, delta, boundary)
 
     @classmethod
     def _make(cls, iterable) -> WindowQuery:
-        # so that _replace validates and sets the edges too
+        # so that _replace validates too
         return cls(*iterable)
 
 
@@ -236,16 +231,15 @@ def window_counts(
 def window_range(query: WindowQuery, grid_denom: int) -> range:
     """Grid indices s whose value s / grid_denom falls in the window.
 
-    Window edges are compared exactly, as integer numerators over one
-    denominator; nothing is rounded.  The range is empty when the window
-    misses the grid 0 .. grid_denom.
+    The window edges are exact fractions, so nothing is rounded.  The
+    range is empty when the window misses the grid 0 .. grid_denom.
     """
-    lo = max(-(-query._lo * grid_denom // query._den), 0)  # ceil
+    lo = max(math.ceil((query.c - query.delta) * grid_denom), 0)
+    top = (query.c + query.delta) * grid_denom
     if query.boundary is Boundary.CLOSED_CLOSED:
-        hi = query._hi * grid_denom // query._den
+        hi = math.floor(top)
     else:
-        # strict upper edge: largest s with s * _den < _hi * grid_denom
-        hi = (query._hi * grid_denom - 1) // query._den
+        hi = math.ceil(top) - 1  # strict upper edge: largest s below it
     return range(lo, max(lo, min(hi, grid_denom) + 1))
 
 

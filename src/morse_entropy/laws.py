@@ -8,11 +8,13 @@ blended windows when tuples concatenate; per-site log counts at a fixed
 window converge to the concave rate curve; and the curves respect their
 analytic bounds with the homology curve peaking at the total homology
 dimension.  The first three rest on one premise about the atoms, which
-validation ensures and each of them checks before any count: 0 <=
-betti_weight <= multiplicity, and atoms at 0 and 1 with betti_weight
->= 1.  On it, domination, superadditivity and Fekete's unit floor are
-certificates read off the atoms; the one exact count is Fekete's, at
-its largest n.
+validation ensures: 0 <= betti_weight <= multiplicity, and atoms at 0
+and 1 with betti_weight >= 1.  Each of them validates the atoms again
+before any count, so atoms that break the premise raise validation's
+:class:`~.spectrum.SpectrumError` (a ``ValueError``), tagged with the
+broken invariant.  On the premise, domination, superadditivity and
+Fekete's unit floor are certificates read off the atoms; the one exact
+count is Fekete's, at its largest n.
 """
 
 from __future__ import annotations
@@ -49,18 +51,6 @@ def _tag(**kwargs) -> Tuple[Tuple[str, str], ...]:
     return tuple((k, str(v)) for k, v in kwargs.items())
 
 
-def _check_premise(spec: CriticalSpectrum) -> None:
-    """Refuse atoms the law certificates cannot stand on, naming the broken invariant.
-
-    The certificates need 0 <= betti_weight <= multiplicity at every atom,
-    and atoms at 0 and at 1 with betti_weight >= 1.  Validation ensures
-    both, so the atoms are validated again: one that breaks an invariant
-    raises the :class:`~.spectrum.SpectrumError` (a ``ValueError``)
-    validation raises for it, tagged with the invariant.
-    """
-    validate_spectrum(spec.atoms)
-
-
 def check_domination(
     spec: CriticalSpectrum,
     n_max: int,
@@ -74,7 +64,7 @@ def check_domination(
     the comparison is exactly the one the downstream rate inequality
     rests on; the ``boundary`` field of the supplied windows is ignored.
     ``n_max`` must be at least 1, ``windows`` nonempty, the atoms must
-    meet the premise of :func:`_check_premise`, and n_max must be within
+    meet the premise (see the module docstring), and n_max must be within
     the cap.  The law is then a certificate, one instance per (n,
     window): 0 <= betti_weight <= multiplicity makes the homology site
     histogram at most the critical one in every coefficient, n-th powers
@@ -85,7 +75,7 @@ def check_domination(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not windows:
         raise ValueError("need at least one window")
-    _check_premise(spec)
+    validate_spectrum(spec.atoms)
     _check_cap(spec, n_max, cap)
     return LawReport("betti_dominated_by_critical", n_max * len(windows), ())
 
@@ -110,24 +100,25 @@ def check_superadditivity(
 
     The five draw arguments are one draw, or tuples or lists of equal
     length holding one draw per index; the report has one instance per
-    draw and kind.  The atoms must meet the premise of
-    :func:`_check_premise`, and the cap is checked for the largest
-    n1 + n2.  The law is then a certificate: with no weight below 0,
-    concatenation maps pairs of part tuples injectively into the whole
-    window and multiplies their weights.  Nothing is counted.
+    draw and kind.  Each draw's (c1, delta) and (c2, delta) windows must
+    be valid :class:`~.counter.WindowQuery` windows, the atoms must meet
+    the premise (see the module docstring), and the cap is checked for
+    the largest n1 + n2.  The law is then a certificate: with no weight
+    below 0, concatenation maps pairs of part tuples injectively into the
+    whole window and multiplies their weights.  Nothing is counted.
     """
     columns = [
         tuple(x) if isinstance(x, (tuple, list)) else (x,) for x in (n1, n2, c1, c2, delta)
     ]
     draws = [
-        (a, b, Fraction(x), Fraction(y), Fraction(d))
+        (a, b, WindowQuery(Fraction(x), Fraction(d)), WindowQuery(Fraction(y), Fraction(d)))
         for a, b, x, y, d in zip(*columns, strict=True)
     ]
     if not draws:
         raise ValueError("need at least one draw")
     if any(a < 1 or b < 1 for a, b, *_ in draws):
         raise ValueError("n1 and n2 must be >= 1")
-    _check_premise(spec)
+    validate_spectrum(spec.atoms)
     _check_cap(spec, max(a + b for a, b, *_ in draws), cap)
     return LawReport("window_count_superadditivity", 2 * len(draws), ())
 
@@ -156,8 +147,8 @@ def check_fekete(
     ``rate_vs_limit`` (the per-site log count at n_max is within
     3*log(n_max * D * B) / n_max of the concave rate supremum over the
     window).  Requires n_max >= ceil(2/delta) + 4 so the tail past the
-    unit floor is non-trivial, atoms that meet the premise of
-    :func:`_check_premise`, and n_max within the cap, in that order.
+    unit floor is non-trivial, atoms that meet the premise (see the module
+    docstring), and n_max within the cap, in that order.
 
     The first two sub-checks are certificates.  ``superadditive_pairs``
     holds by the argument of :func:`check_superadditivity`.
@@ -179,7 +170,7 @@ def check_fekete(
         raise ValueError(
             f"n_max {n_max} too small: need at least ceil(2/delta) + 4 = {math.ceil(threshold) + 4}"
         )
-    _check_premise(spec)
+    validate_spectrum(spec.atoms)
     _check_cap(spec, n_max, cap)
     n_floor = math.floor(threshold) + 1  # smallest n with n > 2/delta
 

@@ -11,15 +11,14 @@ value collapses to ``log Z(lam) - lam * c``.  At lam = 0 the constraint
 is inactive and the curve peaks at ``log(sum of weights)``.
 
 A curve validates its :class:`MaxEntProblem` family once and re-targets it
-per point.  The family also holds what every solve shares: its lam = 0
-evaluation, which is the first Newton step of every solve started there,
-and its hull ends as integer numerators over a common denominator, so an
-exact target is placed and measured with integer arithmetic.  A curve
-solves by continuation: it walks each half of the grid in from its own
-hull edge and starts each solve at the multiplier extrapolated from the
-points before it.  A family that is its own mirror image about 1/2 gives
-rate(1 - c) = rate(c) bit for bit, so a curve over such a family solves
-only the points with c <= 1/2.
+per point.  The family also holds what every solve shares: its values
+measured from each hull edge, and its hull ends as integer numerators
+over a common denominator, so an exact target is placed and measured
+with integer arithmetic.  A curve solves by continuation: it walks each
+half of the grid in from its own hull edge and starts each solve at the
+multiplier extrapolated from the points before it.  A family that is its
+own mirror image about 1/2 gives rate(1 - c) = rate(c) bit for bit, so a
+curve over such a family solves only the points with c <= 1/2.
 """
 
 from __future__ import annotations
@@ -65,12 +64,10 @@ class MaxEntProblem(
     """A validated family (distinct rational values, positive weights) and a target mean.
 
     The family keeps, per hull edge, its values as floats measured from that
-    edge, the log weights to match and the family evaluated there at
-    lam = 0, where a Newton solve starts unless it is given another
-    multiplier.  It also keeps the two hull ends as integer numerators over
-    their least common denominator.  These are not fields, so equality,
-    hashing and the repr ignore them.
-    :meth:`at` re-targets it without redoing any of this.
+    edge and the log weights to match.  It also keeps the two hull ends as
+    integer numerators over their least common denominator.  These are not
+    fields, so equality, hashing and the repr ignore them.  :meth:`at`
+    re-targets it without redoing any of this.
     """
 
     def __new__(
@@ -87,12 +84,9 @@ class MaxEntProblem(
             raise ValueError("weights must be positive and finite")
         self = super().__new__(cls, values, weights, target)
         log_w = [math.log(w) for w in weights]
-        from_edge = {
+        self._from_edge = {
             1: ([float(v - values[0]) for v in values], log_w),
             -1: ([float(values[-1] - v) for v in reversed(values)], log_w[::-1]),
-        }
-        self._from_edge = {
-            order: (fv, lw, _family(fv, lw, 0.0)) for order, (fv, lw) in from_edge.items()
         }
         denom = math.lcm(values[0].denominator, values[-1].denominator)
         self._hull = (
@@ -121,8 +115,8 @@ class MaxEntSolution(NamedTuple):
     envelope identity gives d(rate)/dc = -lam along the curve.  Boundary
     targets are solved exactly by a point mass, reported with lam = -inf
     (left end) or +inf (right end), in 0 iterations.  An interior solve's
-    ``iterations`` is one more than the family evaluations it made: the
-    shared lam = 0 evaluation counts once, as a start elsewhere does.
+    ``iterations`` is the number of family evaluations it made, plus one
+    when it started away from lam = 0.
     """
 
     lam: float
@@ -168,9 +162,8 @@ def maxent_rate(problem: MaxEntProblem, start: float = 0.0) -> MaxEntSolution:
     point-mass optimum.  Targets outside [v_min, v_max] raise ValueError.
 
     ``start`` is a multiplier in the frame of :attr:`MaxEntSolution.lam`,
-    so a neighbouring target's ``lam`` is a warm start.  At 0 the solve
-    reuses the family's shared lam = 0 evaluation; any other start costs
-    one evaluation there.  A non-finite start raises ValueError.
+    so a neighbouring target's ``lam`` is a warm start.  A non-finite start
+    raises ValueError.
 
     The target is read exactly: an int or Fraction as itself, a float as
     the binary fraction it holds (so 0.1 is a hair above 1/10).  Its
@@ -202,16 +195,15 @@ def maxent_rate(problem: MaxEntProblem, start: float = 0.0) -> MaxEntSolution:
     # itself, so rate(c) and rate(span - c) agree bit for bit on symmetric
     # grids.
     order = -1 if 2 * num > lo_num + hi_num else 1
-    fv, log_w, (mean, var, log_z, masses, z) = problem._from_edge[order]
+    fv, log_w = problem._from_edge[order]
     # int / int rounds the exact difference once, as float(Fraction) does
     ct = (hi_num - num if order < 0 else num - lo_num) / (den * denom)
 
-    lam, lo, hi = 0.0, -math.inf, math.inf
-    iterations = 0
-    if start:
-        lam = start * order
-        mean, var, log_z, masses, z = _family(fv, log_w, lam)
-        iterations = 1
+    # A start of 0 is +0.0 from either edge, which keeps the sign of a
+    # returned lam = 0; a start elsewhere counts as one iteration.
+    lam, lo, hi = (start * order if start else 0.0), -math.inf, math.inf
+    iterations = 1 if start else 0
+    mean, var, log_z, masses, z = _family(fv, log_w, lam)
     converged = False
     while True:
         iterations += 1
@@ -241,7 +233,7 @@ def maxent_rate(problem: MaxEntProblem, start: float = 0.0) -> MaxEntSolution:
 
     return MaxEntSolution(
         lam=lam * order,
-        p=tuple(m / z for m in masses)[::order],
+        p=tuple([m / z for m in masses][::order]),
         rate=log_z - lam * mean,
         converged=converged,
         iterations=iterations,

@@ -817,6 +817,21 @@ def test_verify_output_is_pinned(capsys, seed7_file, tmp_path, args, digest):
     assert hashlib.sha256(record.encode("utf-8")).hexdigest() == digest
 
 
+# The seed picks verify's windows and draws, but a passing run prints only
+# each law and its instance count, so every seed prints the same lines.
+@pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+@pytest.mark.parametrize("spectrum", [["--preset", "torus"], ["--spectrum-file", "SEED0"]],
+                         ids=["torus", "seed0"])
+def test_verify_stdout_is_the_same_for_every_seed(capsys, tmp_path, spectrum, seed):
+    seed0_file = tmp_path / "seed0.json"
+    seed0_file.write_text(json.dumps(BENCH_SEED0_RECORDS), encoding="utf-8")
+    args = [str(seed0_file) if arg == "SEED0" else arg for arg in spectrum]
+    assert run(["verify", *args, "--seed", seed]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == (
+        "e619f13a7b02e9cb781ae2967e3087566527d2a840ae042370094aa32f45e831"
+    )
+
+
 # nan, inf and an overflowing float or rational are bad input, with or
 # without --laplace; before any row is printed.
 NONFINITE_BETAS = ("nan", "inf", "-inf", "1e400", "10,nan", "1" + "0" * 400 + "/1")

@@ -224,6 +224,27 @@ def test_superadditivity_input_validation():
         check_superadditivity(CIRCLE, 0, 1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
 
 
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        ((1, 1, 5, -7, -1), "delta must be positive, got -1"),
+        ((2, 3, Fraction(1, 2), Fraction(1, 2), 0), "delta must be positive, got 0"),
+        ((2, 3, 2, Fraction(1, 2), Fraction(1, 10)), r"window around 2 \+- 1/10 misses \[0, 1\]"),
+    ],
+    ids=["negative_delta", "zero_delta", "c1_above_1"],
+)
+def test_superadditivity_refuses_a_window_that_does_not_exist(monkeypatch, draw, message):
+    # WindowQuery validates each draw's part windows, before the premise and
+    # the cap: BROKEN at cap 1 would fail both.
+    monkeypatch.setattr(counter, "_miller", None)  # any count would raise TypeError
+    good = (1, 1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 10))
+    for spec, cap in ((TORUS, None), (BROKEN, 1)):
+        for args in (draw, [list(pair) for pair in zip(good, draw)]):  # scalar and columns
+            with pytest.raises(ValueError, match=message) as refused:
+                check_superadditivity(spec, *args, cap=cap)
+            assert not isinstance(refused.value, SpectrumError)
+
+
 def test_fekete_on_presets():
     for spec in (CIRCLE, TORUS):
         for c, delta in ((Fraction(1, 2), Fraction(1, 10)), (Fraction(1, 4), Fraction(1, 10))):

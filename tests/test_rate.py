@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,7 @@ from morse_entropy import (
 )
 from morse_entropy import rate as rate_module
 from _oracles import concavity_check, edge_binary_entropy, random_spectrum, scan_maxent_rate
-from test_cli import SEED7_RECORDS
+from test_cli import SEED7_RECORDS, _child_env
 
 CIRCLE = preset("circle")
 TORUS = preset("torus")
@@ -123,6 +125,27 @@ def test_a_curve_validates_its_family_once(monkeypatch):
     monkeypatch.setattr(rate_module, "as_rational", counting)
     epsilon_curve(TORUS, 101)
     assert len(calls) == len(TORUS.atoms)
+
+
+def test_a_kept_curve_leaves_no_solver_tuples_behind():
+    # Allocation guard, run in a fresh child that never calls gc.collect().
+    # tuple(<generator>) allots ten slots and shrinks them to the atom
+    # count; each solve's p, built so and then dropped, stayed in CPython's
+    # free list for tuples of that length, which only a full collection
+    # empties.  With the curve kept that read 414 KB (Python 3.11).
+    code = (
+        "import tracemalloc\n"
+        "from morse_entropy import epsilon_curve, validate_spectrum\n"
+        "spec = validate_spectrum("
+        "[(0, 1, 1), ('1/7', 3, 1), ('2/5', 2, 0), ('5/9', 4, 2), (1, 1, 1)])\n"
+        "tracemalloc.start()\n"
+        "curve = epsilon_curve(spec, 2001)\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True
+    )
+    assert int(proc.stdout) < 320 << 10
 
 
 def test_retargeting_keeps_the_family_and_checks_the_target():

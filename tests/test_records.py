@@ -29,6 +29,7 @@ from morse_entropy import (
     maxent_rate,
     preset,
 )
+from morse_entropy import rate
 from morse_entropy.counter import window_range
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -159,6 +160,24 @@ def test_replace_rebuilds_what_validation_keeps():
     fresh = MaxEntProblem((0, HALF, 1), (1.0, 2.0, 1.0), Fraction(1, 4))
     assert moved == family.at(Fraction(1, 4)) == fresh
     assert maxent_rate(moved) == maxent_rate(family.at(Fraction(1, 4)))
+
+
+def test_records_keep_only_what_solves_read(monkeypatch):
+    # A window keeps its three fields and nothing else: its edges are
+    # derived where a count reads them.
+    assert not hasattr(WindowQuery(HALF, TENTH), "__dict__")
+    # Building a family evaluates it nowhere; a solve from lam = 0 makes
+    # that evaluation itself, and counts one iteration per evaluation.
+    lams = []
+    family = rate._family
+    monkeypatch.setattr(rate, "_family", lambda *args: lams.append(args[2]) or family(*args))
+    problem = MaxEntProblem((0, HALF, 1), (1.0, 2.0, 1.0), Fraction(1, 4))
+    assert lams == []
+    solution = maxent_rate(problem)
+    assert lams[0] == 0.0 and len(lams) == solution.iterations
+    lams.clear()
+    warm = maxent_rate(problem, solution.lam)
+    assert lams[0] == solution.lam and len(lams) == warm.iterations - 1
 
 
 # The public API, pinned: a name added to the package, or a test-only
