@@ -57,7 +57,6 @@ from .thermo import (
     LaplaceReport,
     LaplaceRow,
     circle_height,
-    free_energy,
     gibbs,
     laplace_check,
     legendre_epsilon,
@@ -95,7 +94,6 @@ __all__ = [
     "entry_multiset",
     "epsilon_curve",
     "finite_rate",
-    "free_energy",
     "gibbs",
     "laplace_check",
     "legendre_epsilon",

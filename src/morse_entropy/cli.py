@@ -252,7 +252,7 @@ def _cmd_count(args) -> int:
     spec = _load_spectrum(args)
     kind = Kind(args.kind)
     boundary = kind.boundary if args.boundary is None else Boundary(args.boundary)
-    query = WindowQuery(as_rational(args.c), as_rational(args.delta), boundary)
+    query = WindowQuery(args.c, args.delta, boundary)
     (count,) = window_counts(spec, args.n, kind, [query], cap=args.cap)
     try:
         text = str(count)

@@ -115,6 +115,8 @@ class WindowQuery(
 
 
 def _check_cap(spec: CriticalSpectrum, n: int, cap: Optional[int]) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     limit = DEFAULT_CAP if cap is None else cap
     if n * spec.denom > limit:
         raise ResourceCapError(f"sum grid n*denom = {n * spec.denom} exceeds cap {limit}")
@@ -177,12 +179,11 @@ def mean_distribution(
 
     The power is every coefficient of Miller's recurrence (see
     :func:`_miller`), in O(n * denom) big-integer steps per nonzero atom.
-    ``cap`` bounds the sum grid n * denom (default :data:`DEFAULT_CAP`);
-    exceeding it raises :class:`ResourceCapError` before any work is done.
+    ``n`` must be at least 1, and ``cap`` bounds the sum grid n * denom
+    (default :data:`DEFAULT_CAP`); both are checked before any work, and
+    exceeding the cap raises :class:`ResourceCapError`.
     To count windows, :func:`window_counts` holds far less.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     _check_cap(spec, n, cap)
     counts = tuple(_miller(_site_histogram(spec, kind), n))
     return MeanDistribution(n=n, grid_denom=n * spec.denom, counts=counts, kind=kind)
@@ -205,11 +206,9 @@ def window_counts(
     the sorted window edges, up to the farthest one.  So this holds the
     ``span`` <= denom coefficients the recurrence reads (``span`` being the
     distance between the lowest and highest nonzero offsets of the site
-    histogram) plus one prefix sum per window edge.  The cap is checked as
-    in :func:`mean_distribution`, before any work.
+    histogram) plus one prefix sum per window edge.  ``n`` and the cap are
+    checked as in :func:`mean_distribution`, before any work.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     _check_cap(spec, n, cap)
     site = _site_histogram(spec, kind)
     grid = n * spec.denom

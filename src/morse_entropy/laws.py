@@ -111,7 +111,7 @@ def check_superadditivity(
         tuple(x) if isinstance(x, (tuple, list)) else (x,) for x in (n1, n2, c1, c2, delta)
     ]
     draws = [
-        (a, b, WindowQuery(Fraction(x), Fraction(d)), WindowQuery(Fraction(y), Fraction(d)))
+        (a, b, WindowQuery(x, d), WindowQuery(y, d))
         for a, b, x, y, d in zip(*columns, strict=True)
     ]
     if not draws:
@@ -146,9 +146,11 @@ def check_fekete(
     ``superadditive_pairs`` (log counts at a fixed window superadd), and
     ``rate_vs_limit`` (the per-site log count at n_max is within
     3*log(n_max * D * B) / n_max of the concave rate supremum over the
-    window).  Requires n_max >= ceil(2/delta) + 4 so the tail past the
-    unit floor is non-trivial, atoms that meet the premise (see the module
-    docstring), and n_max within the cap, in that order.
+    window).  Requires at least one centre, valid
+    :class:`~.counter.WindowQuery` windows, n_max >= ceil(2/delta) + 4 so
+    the tail past the unit floor is non-trivial, atoms that meet the
+    premise (see the module docstring), and n_max within the cap, in that
+    order; the cap is checked by :func:`window_counts`, before it counts.
 
     The first two sub-checks are certificates.  ``superadditive_pairs``
     holds by the argument of :func:`check_superadditivity`.
@@ -159,22 +161,19 @@ def check_fekete(
     ``rate_vs_limit`` is counted, every centre at n_max by one
     :func:`window_counts` call.
     """
-    centres = tuple(map(Fraction, c)) if isinstance(c, (tuple, list)) else (Fraction(c),)
-    delta = Fraction(delta)
+    centres = tuple(c) if isinstance(c, (tuple, list)) else (c,)
     if not centres:
         raise ValueError("need at least one window centre")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    threshold = Fraction(2) / delta
+    queries = [WindowQuery(centre, delta, Kind.BETTI.boundary) for centre in centres]
+    delta = queries[0].delta
+    threshold = 2 / delta
     if n_max < math.ceil(threshold) + 4:
         raise ValueError(
             f"n_max {n_max} too small: need at least ceil(2/delta) + 4 = {math.ceil(threshold) + 4}"
         )
     validate_spectrum(spec.atoms)
-    _check_cap(spec, n_max, cap)
     n_floor = math.floor(threshold) + 1  # smallest n with n > 2/delta
 
-    queries = [WindowQuery(centre, delta, Kind.BETTI.boundary) for centre in centres]
     ns = {n_floor + off for off in _PAIR_OFFSETS if n_floor + off <= n_max - n_floor}
     n_pairs = min(_MAX_PAIRS, sum(a <= b and a + b <= n_max for a in ns for b in ns))
     counts = window_counts(spec, n_max, Kind.BETTI, queries, cap=cap)
@@ -182,15 +181,13 @@ def check_fekete(
     tol = 3.0 * math.log(n_max * spec.denom * spec.total_betti) / n_max
 
     violations: List[Violation] = []
-    for centre, count in zip(centres, counts):
-        sup = window_sup_rate(
-            values, weights, max(Fraction(0), centre - delta), min(Fraction(1), centre + delta)
-        )
+    for query, count in zip(queries, counts):
+        sup = window_sup_rate(values, weights, query.c - delta, query.c + delta)
         observed = finite_rate(count, n_max)
         if not abs(observed - sup) <= tol:
             violations.append(
                 Violation(
-                    _tag(sub_check="rate_vs_limit", n=n_max, c=centre, delta=delta, tol=tol),
+                    _tag(sub_check="rate_vs_limit", n=n_max, c=query.c, delta=delta, tol=tol),
                     observed,
                     sup,
                 )

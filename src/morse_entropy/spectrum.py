@@ -16,7 +16,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Tuple, Union
 
 RawAtom = Tuple[Union[int, str, Fraction], int, int]
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 from .rate import ConvergenceError
 from .spectrum import CriticalSpectrum
@@ -70,11 +70,6 @@ def _log_z(shift: float, masses: List[float]) -> float:
     # The largest mass is exp(0) = 1 exactly; log1p of the others keeps F
     # accurate where they sum to less than the rounding error of 1.
     return shift + math.log1p(sum(sorted(masses)[:-1]))
-
-
-def free_energy(spec: CriticalSpectrum, beta: float) -> float:
-    """log of the partition sum over critical values at a finite beta; F(0) = log p."""
-    return gibbs(spec, beta).free_energy
 
 
 def gibbs(spec: CriticalSpectrum, beta: float) -> GibbsState:

@@ -720,7 +720,7 @@ def test_thermo_free_energy_is_relatively_accurate_at_large_beta(capsys):
     rows = capsys.readouterr().out.splitlines()[1:]
     for beta, row in zip((50.0, 100.0, 700.0), rows):
         assert float(row.split(",")[1]) == pytest.approx(math.exp(-beta), rel=1e-11)
-        assert thermo_module.free_energy(preset("circle"), beta) == pytest.approx(
+        assert thermo_module.gibbs(preset("circle"), beta).free_energy == pytest.approx(
             math.exp(-beta), rel=1e-12
         )
 

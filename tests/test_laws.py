@@ -230,8 +230,9 @@ def test_superadditivity_input_validation():
         ((1, 1, 5, -7, -1), "delta must be positive, got -1"),
         ((2, 3, Fraction(1, 2), Fraction(1, 2), 0), "delta must be positive, got 0"),
         ((2, 3, 2, Fraction(1, 2), Fraction(1, 10)), r"window around 2 \+- 1/10 misses \[0, 1\]"),
+        ((1, 1, 0.5, 0.5, 0.1), "expected an exact rational, got 0.5"),
     ],
-    ids=["negative_delta", "zero_delta", "c1_above_1"],
+    ids=["negative_delta", "zero_delta", "c1_above_1", "float_draw"],
 )
 def test_superadditivity_refuses_a_window_that_does_not_exist(monkeypatch, draw, message):
     # WindowQuery validates each draw's part windows, before the premise and
@@ -259,6 +260,12 @@ def test_fekete_preconditions():
         check_fekete(CIRCLE, Fraction(1, 2), Fraction(1, 10), 23)
     with pytest.raises(ValueError, match="delta"):
         check_fekete(CIRCLE, Fraction(1, 2), Fraction(0), 64)
+    for centre, delta in ((0.5, Fraction(1, 10)), (Fraction(1, 2), 0.1)):
+        with pytest.raises(ValueError, match="expected an exact rational"):
+            check_fekete(CIRCLE, centre, delta, 64)
+    # the windows are checked before the n_max floor
+    with pytest.raises(ValueError, match=r"misses \[0, 1\]"):
+        check_fekete(TORUS, 5, Fraction(1, 10), 23)
 
 
 def test_fekete_collects_violations_instead_of_raising(monkeypatch):
@@ -358,10 +365,9 @@ def test_fekete_refuses_a_negative_betti_weight_before_any_count(monkeypatch):
 
 
 def test_fekete_checks_the_cap_before_building_any_distribution(monkeypatch, capsys):
-    powers = _counting(monkeypatch, "window_counts")
+    monkeypatch.setattr(counter, "_miller", None)  # any count would raise TypeError
     with pytest.raises(ResourceCapError, match="128 exceeds cap 127"):
         check_fekete(TORUS, (Fraction(1, 2), Fraction(1, 4)), Fraction(1, 10), 64, cap=127)
-    assert powers == []
     for suite in ("fekete", "all"):
         assert cli.run(["verify", "--preset", "torus", "--suite", suite, "--cap", "127"]) == 4
         captured = capsys.readouterr()
