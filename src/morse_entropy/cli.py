@@ -187,7 +187,7 @@ def _load_spectrum(args) -> CriticalSpectrum:
     with open(args.spectrum_file, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SpectrumError("invalid_json", f"{args.spectrum_file}: {exc}") from exc
     if not isinstance(data, list):
         raise SpectrumError("schema", "spectrum file must hold a list of records")
@@ -290,15 +290,13 @@ def _cmd_verify(args) -> int:
     if args.suite in ("all", "bounds"):
         reports.append(check_bounds_and_max(spec, 21))
 
-    failed = False
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
         print(f"{status} {report.law} instances={report.instances_checked} violations={len(report.violations)}")
         for violation in report.violations[:5]:
             detail = " ".join(f"{k}={v}" for k, v in violation.inputs)
             print(f"  {detail} lhs={violation.lhs} rhs={violation.rhs}", file=sys.stderr)
-        failed = failed or not report.passed
-    return 2 if failed else 0
+    return 0 if all(report.passed for report in reports) else 2
 
 
 def _parse_betas(text: str) -> List[float]:
@@ -384,7 +382,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SpectrumError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
-from .spectrum import CriticalSpectrum, as_rational
+from .spectrum import CriticalSpectrum, _ValidatedRecord, as_rational
 
 #: Largest sum grid (n * denom) built without an explicit override.
 DEFAULT_CAP = 16384
@@ -60,6 +60,7 @@ class Boundary(enum.Enum):
 
 
 class MeanDistribution(
+    _ValidatedRecord,
     NamedTuple(
         "MeanDistribution",
         [("n", int), ("grid_denom", int), ("counts", Tuple[int, ...]), ("kind", Kind)],
@@ -78,11 +79,6 @@ class MeanDistribution(
             )
         return super().__new__(cls, n, grid_denom, counts, kind)
 
-    @classmethod
-    def _make(cls, iterable) -> MeanDistribution:
-        # so that _replace validates too
-        return cls(*iterable)
-
     @property
     def total(self) -> int:
         """Total weighted tuple count (p**n or B**n for valid spectra)."""
@@ -90,6 +86,7 @@ class MeanDistribution(
 
 
 class WindowQuery(
+    _ValidatedRecord,
     NamedTuple("WindowQuery", [("c", Fraction), ("delta", Fraction), ("boundary", Boundary)])
 ):
     """A value window [c - delta, c + delta] with an endpoint convention.
@@ -107,11 +104,6 @@ class WindowQuery(
         if not -delta < c < 1 + delta:
             raise ValueError(f"window around {c} +- {delta} misses [0, 1]")
         return super().__new__(cls, c, delta, boundary)
-
-    @classmethod
-    def _make(cls, iterable) -> WindowQuery:
-        # so that _replace validates too
-        return cls(*iterable)
 
 
 def _check_cap(spec: CriticalSpectrum, n: int, cap: Optional[int]) -> None:

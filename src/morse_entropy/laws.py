@@ -12,7 +12,8 @@ validation ensures: 0 <= betti_weight <= multiplicity, and atoms at 0
 and 1 with betti_weight >= 1.  Each of them validates the atoms again
 before any count, so atoms that break the premise raise validation's
 :class:`~.spectrum.SpectrumError` (a ``ValueError``), tagged with the
-broken invariant.  On the premise, domination, superadditivity and
+broken invariant, and then sizes and counts the spectrum validation
+returns, whatever ``denom`` the caller's spectrum held.  On the premise, domination, superadditivity and
 Fekete's unit floor are certificates read off the atoms; the one exact
 count is Fekete's, at its largest n.
 """
@@ -75,7 +76,7 @@ def check_domination(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not windows:
         raise ValueError("need at least one window")
-    validate_spectrum(spec.atoms)
+    spec = validate_spectrum(spec.atoms)
     _check_cap(spec, n_max, cap)
     return LawReport("betti_dominated_by_critical", n_max * len(windows), ())
 
@@ -118,7 +119,7 @@ def check_superadditivity(
         raise ValueError("need at least one draw")
     if any(a < 1 or b < 1 for a, b, *_ in draws):
         raise ValueError("n1 and n2 must be >= 1")
-    validate_spectrum(spec.atoms)
+    spec = validate_spectrum(spec.atoms)
     _check_cap(spec, max(a + b for a, b, *_ in draws), cap)
     return LawReport("window_count_superadditivity", 2 * len(draws), ())
 
@@ -171,7 +172,7 @@ def check_fekete(
         raise ValueError(
             f"n_max {n_max} too small: need at least ceil(2/delta) + 4 = {math.ceil(threshold) + 4}"
         )
-    validate_spectrum(spec.atoms)
+    spec = validate_spectrum(spec.atoms)
     n_floor = math.floor(threshold) + 1  # smallest n with n > 2/delta
 
     ns = {n_floor + off for off in _PAIR_OFFSETS if n_floor + off <= n_max - n_floor}
@@ -212,9 +213,7 @@ def check_bounds_and_max(spec: CriticalSpectrum, grid_points: int) -> LawReport:
     bet = betti_curve(spec, grid_points)
     log_p = math.log(spec.p)
     violations: List[Violation] = []
-    checked = 0
     for c, rate_e, rate_b in zip(eps.grid, eps.rates, bet.rates):
-        checked += 1
         if not rate_b >= -slack:
             violations.append(Violation(_tag(bound="betti_nonnegative", c=c), rate_b, 0.0))
         if not rate_b <= rate_e + slack:
@@ -222,7 +221,6 @@ def check_bounds_and_max(spec: CriticalSpectrum, grid_points: int) -> LawReport:
         if not rate_e <= log_p + slack:
             violations.append(Violation(_tag(bound="epsilon_below_log_p", c=c), rate_e, log_p))
 
-    checked += 1
     entries = entry_multiset(spec)
     total_b = spec.total_betti
     c_star = sum(v * w for v, w in entries) / total_b
@@ -231,7 +229,7 @@ def check_bounds_and_max(spec: CriticalSpectrum, grid_points: int) -> LawReport:
         violations.append(
             Violation(_tag(bound="peak_reaches_log_homology", c=c_star), peak, math.log(total_b))
         )
-    return LawReport("rate_bounds_and_peak", checked, tuple(violations))
+    return LawReport("rate_bounds_and_peak", len(eps.grid) + 1, tuple(violations))
 
 
 def random_windows(rng: random.Random, count: int) -> List[WindowQuery]:

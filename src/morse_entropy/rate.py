@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import mul
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
-from .spectrum import CriticalSpectrum, as_rational, entry_multiset
+from .spectrum import CriticalSpectrum, _ValidatedRecord, as_rational, entry_multiset
 
 #: Hard iteration cap; hitting it is reported, never silently truncated.
 MAX_ITERATIONS = 200
@@ -43,15 +43,13 @@ _STEP_GROWTH = 8.0
 #: starting multiplier: the polynomial through them extrapolated one step.
 _EXTRAPOLATE = ((), (1,), (2, -1), (3, -3, 1))
 
-KIND_EPSILON = "epsilon"
-KIND_BETTI = "betti"
-
 
 class ConvergenceError(RuntimeError):
     """A root-find or quadrature failed to reach its tolerance."""
 
 
 class MaxEntProblem(
+    _ValidatedRecord,
     NamedTuple(
         "MaxEntProblem",
         [
@@ -95,11 +93,6 @@ class MaxEntProblem(
             denom,
         )
         return self
-
-    @classmethod
-    def _make(cls, iterable) -> MaxEntProblem:
-        # so that _replace validates and rebuilds the family too
-        return cls(*iterable)
 
     def at(self, target: Union[Fraction, float]) -> MaxEntProblem:
         """The same family with a new target, not validated again."""
@@ -226,9 +219,9 @@ def maxent_rate(problem: MaxEntProblem, start: float = 0.0) -> MaxEntSolution:
         if abs(trial - lam) <= tol:
             converged = True
             break
-        lam = trial
-        if iterations == MAX_ITERATIONS:
+        if iterations >= MAX_ITERATIONS:
             break
+        lam = trial
         mean, var, log_z, masses, z = _family(fv, log_w, lam)
 
     return MaxEntSolution(
@@ -241,6 +234,7 @@ def maxent_rate(problem: MaxEntProblem, start: float = 0.0) -> MaxEntSolution:
 
 
 class Curve(
+    _ValidatedRecord,
     NamedTuple(
         "Curve", [("grid", Tuple[Fraction, ...]), ("rates", Tuple[float, ...]), ("kind", str)]
     )
@@ -257,11 +251,6 @@ class Curve(
         if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
             raise ValueError("grid must be strictly increasing")
         return super().__new__(cls, grid, rates, kind)
-
-    @classmethod
-    def _make(cls, iterable) -> Curve:
-        # so that _replace validates too
-        return cls(*iterable)
 
 
 def _curve(values, weights, grid_points: int, kind: str) -> Curve:
@@ -303,14 +292,14 @@ def _curve(values, weights, grid_points: int, kind: str) -> Curve:
 
 def epsilon_curve(spec: CriticalSpectrum, grid_points: int) -> Curve:
     """Critical-point growth rate on a uniform grid over [0, 1]."""
-    return _curve(spec.values(), spec.multiplicities(), grid_points, KIND_EPSILON)
+    return _curve(spec.values(), spec.multiplicities(), grid_points, "epsilon")
 
 
 def betti_curve(spec: CriticalSpectrum, grid_points: int) -> Curve:
     """Homology growth rate on a uniform grid over [0, 1]."""
     entries = entry_multiset(spec)
     return _curve(
-        tuple(v for v, _ in entries), tuple(w for _, w in entries), grid_points, KIND_BETTI
+        tuple(v for v, _ in entries), tuple(w for _, w in entries), grid_points, "betti"
     )
 
 

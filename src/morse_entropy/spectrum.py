@@ -33,7 +33,9 @@ def as_rational(x: Union[int, str, Fraction]) -> Fraction:
     """Convert an exact input ("3/4", 1, Fraction) to Fraction.
 
     A Fraction is returned as it is.  Floats raise ValueError rather than
-    importing their binary expansion.
+    importing their binary expansion.  So does a string with a run of
+    digits longer than int()'s limit, too long to echo, or an exponent e
+    over that limit, for which Fraction would build 10**e.
     """
     if isinstance(x, Fraction):
         return x
@@ -42,17 +44,33 @@ def as_rational(x: Union[int, str, Fraction]) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # int()'s digit limit, 0 for none
+        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", x, re.I)
+        if limit and (re.search(rf"\d{{{limit + 1}}}", x) or exponent and abs(int(exponent[1])) > limit):
+            raise ValueError(
+                f"cannot parse rational: over {limit} digits in a row or an exponent over {limit},"
+                " Python's limit for int(); PYTHONINTMAXSTRDIGITS=0 lifts it"
+            )
         try:
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            limit = getattr(sys, "get_int_max_str_digits", int)()  # int()'s digit limit, 0 for none
-            if limit and re.search(rf"\d{{{limit + 1}}}", x):  # too long to echo
-                raise ValueError(
-                    f"cannot parse rational: over {limit} digits in a row, Python's limit for int();"
-                    " PYTHONINTMAXSTRDIGITS=0 lifts it"
-                ) from exc
             raise ValueError(f"cannot parse rational {x!r}") from exc
     raise ValueError(f"expected an exact rational, got {type(x).__name__}")
+
+
+class _ValidatedRecord:
+    """Base, listed first, of the NamedTuple records whose ``__new__`` validates.
+
+    namedtuple's own ``_make``, which ``_replace`` calls, builds the tuple
+    without ``__new__``; this one calls the class, so a replaced record is
+    validated, and rebuilt, as a new one is.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class SpectrumAtom(NamedTuple):
@@ -132,11 +150,8 @@ def validate_spectrum(raw: Iterable[RawAtom]) -> CriticalSpectrum:
                 "betti_weight_exceeds_multiplicity",
                 f"betti_weight {betti} > multiplicity {mult} at value {value}",
             )
-        if value in merged:
-            old_m, old_b = merged[value]
-            merged[value] = (old_m + mult, old_b + betti)
-        else:
-            merged[value] = (mult, betti)
+        old_m, old_b = merged.get(value, (0, 0))
+        merged[value] = (old_m + mult, old_b + betti)
 
     atoms = tuple(
         SpectrumAtom(value=v, multiplicity=m, betti_weight=b)

@@ -218,13 +218,10 @@ def laplace_check(beta_grid: Sequence[float]) -> LaplaceReport:
         points = _QUADRATURE_START_POINTS
         z = _circle_partition_mean(beta, points)
         converged = False
-        while points <= _QUADRATURE_MAX_POINTS // 2:
+        while not converged and points <= _QUADRATURE_MAX_POINTS // 2:
             refined = _circle_partition_mean(beta, 2 * points)
             points *= 2
-            if abs(refined - z) <= QUADRATURE_RTOL * abs(refined):
-                z = refined
-                converged = True
-                break
+            converged = abs(refined - z) <= QUADRATURE_RTOL * abs(refined)
             z = refined
         g = -math.log(z) / beta
         rows.append(LaplaceRow(beta=beta, z=z, g=g, points=points, converged=converged))

@@ -24,7 +24,8 @@ from morse_entropy import LawReport, Violation, preset, preset_names, validate_s
 from morse_entropy import cli as cli_module
 from morse_entropy import thermo as thermo_module
 from morse_entropy.cli import emit_curve, run
-from morse_entropy.rate import betti_curve, epsilon_curve
+from morse_entropy import rate as rate_module
+from morse_entropy.rate import Curve, betti_curve, epsilon_curve
 
 LOG2 = "0.69314718056"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -341,6 +342,24 @@ def test_curve_grid_validation(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 16385
 
 
+def test_curve_with_a_point_that_did_not_converge_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(rate_module, "MAX_ITERATIONS", 1)
+    assert run(["curve", "--preset", "torus", "--grid", "11"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rate solver failed to converge on the grid\n"
+
+
+def test_emit_curve_spells_out_nonfinite_values():
+    curve = Curve((Fraction(0), Fraction(1, 2), Fraction(1)), (-math.inf, math.inf, math.nan), "epsilon")
+    assert emit_curve(curve, None, math.inf) == (
+        "c,epsilon,betti,log_p_bound\n0,-inf,,inf\n0.5,inf,,inf\n1,nan,,inf\n"
+    )
+    assert emit_curve(None, curve, -math.inf, "json") == (
+        '{"betti":["-inf","inf","nan"],"c":[0.0,0.5,1.0],"epsilon":null,"log_p_bound":"-inf"}\n'
+    )
+
+
 def test_emit_curve_requires_matching_grids():
     eps = epsilon_curve(preset("circle"), 5)
     bet = betti_curve(preset("circle"), 7)
@@ -510,6 +529,9 @@ def _limit_child():
 @example(case=(["verify", "--preset", "torus", "--n-max", "8192"], None))
 @example(case=(["count", "--preset", "circle", "--n", "16384", "--c", "1/2", "--delta", "1/16"], None))
 @example(case=(["curve", "--preset", "torus", "--grid", "16384"], None))
+@example(case=(["count", "--preset", "torus", "--n", "4", "--c", "1e99999999", "--delta", "1/4"], None))
+@example(case=(["count", "--preset", "torus", "--n", "4", "--c", "1e-99999999", "--delta", "1/4"], None))
+@example(case=(["spectrum", "validate"], [{"value": "1e99999999", "multiplicity": 1, "betti_weight": 1}]))
 def test_every_size_ends_in_a_documented_exit_code(case):
     # One child at a time, under 2 GiB of address space and 10 s of CPU:
     # a size the CLI accepts must finish, and any other must be refused.
@@ -611,6 +633,15 @@ def test_spectrum_file_errors(tmp_path, capsys):
     )
     assert run(["spectrum", "validate", "--spectrum-file", str(float_value)]) == 1
     capsys.readouterr()
+
+
+def test_a_deeply_nested_spectrum_file_is_bad_json(tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000 + "]" * 100000)
+    assert run(["spectrum", "validate", "--spectrum-file", str(nested)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {nested}: ") and captured.err.count("\n") == 1
 
 
 def test_argument_errors_exit_one(capsys):
@@ -845,6 +876,23 @@ def test_thermo_rejects_nonfinite_beta(capsys, beta, laplace):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: beta must be finite, got ")
+
+
+def test_thermo_refuses_an_empty_beta_list(capsys):
+    assert run(["thermo", "--preset", "circle", "--beta", ","]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty beta list\n"
+
+
+def test_thermo_laplace_violation_exits_two(capsys, monkeypatch):
+    row = thermo_module.LaplaceRow(beta=10.0, z=0.25, g=0.125, points=512, converged=True)
+    report = thermo_module.LaplaceReport(rows=(row,), violations=("g(10) = 0.125 outside (0, 0.1]",))
+    monkeypatch.setattr(cli_module, "laplace_check", lambda betas: report)
+    assert run(["thermo", "--preset", "circle", "--beta", "10", "--laplace"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.endswith("beta,g,points\n10,0.125,512\n")
+    assert captured.err == "laplace FAIL\n  g(10) = 0.125 outside (0, 0.1]\n"
 
 
 def test_thermo_laplace_unsettled_exits_three(capsys, monkeypatch):

@@ -255,6 +255,21 @@ def test_fekete_on_presets():
             assert report.instances_checked > 40
 
 
+def test_law_checks_size_and_count_the_spectrum_they_validated():
+    # Torus atoms under a wrong denom of 3: validation restores denom 2, and
+    # the checks count and size with that, so each reads as the torus does.
+    odd = CriticalSpectrum(atoms=TORUS.atoms, denom=3)
+    centres, delta = (Fraction(1, 2), Fraction(1, 4)), Fraction(1, 10)
+    assert check_fekete(odd, centres, delta, 2000, cap=100000) == check_fekete(
+        TORUS, centres, delta, 2000, cap=100000
+    )
+    # caps at the torus's n * 2, which a denom of 3 would exceed
+    windows = [WindowQuery(Fraction(1, 2), Fraction(1, 4))]
+    assert check_domination(odd, 8, windows, cap=16) == check_domination(TORUS, 8, windows, cap=16)
+    draw = (3, 5, Fraction(1, 4), Fraction(3, 4), Fraction(1, 8))
+    assert check_superadditivity(odd, *draw, cap=16) == check_superadditivity(TORUS, *draw, cap=16)
+
+
 def test_fekete_preconditions():
     with pytest.raises(ValueError, match="n_max"):
         check_fekete(CIRCLE, Fraction(1, 2), Fraction(1, 10), 23)

@@ -182,6 +182,17 @@ def test_boundary_targets_are_point_masses():
     assert right.rate == math.log(3.0)
 
 
+def test_the_iteration_cap_returns_the_state_at_the_returned_multiplier(monkeypatch):
+    # Torus weights (1, 2, 1) at 1/7: two iterations do not converge, and
+    # rate and p are the family's at the lam that comes back.
+    monkeypatch.setattr(rate_module, "MAX_ITERATIONS", 2)
+    sol = maxent_rate(MaxEntProblem((0, HALF, 1), (1.0, 2.0, 1.0), Fraction(1, 7)))
+    assert not sol.converged and sol.iterations == 2
+    mean, _, log_z, masses, z = rate_module._family([0.0, 0.5, 1.0], [0.0, math.log(2.0), 0.0], sol.lam)
+    assert sol.rate == log_z - sol.lam * mean
+    assert sol.p == tuple(m / z for m in masses)
+
+
 def test_single_atom():
     sol = maxent_rate(MaxEntProblem((HALF,), (3.0,), HALF))
     assert sol.lam == 0.0

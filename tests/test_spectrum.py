@@ -1,5 +1,6 @@
 """Spectrum ingestion: presets, merging, ordering, named violations."""
 
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -133,6 +134,24 @@ def test_as_rational_returns_a_fraction_as_it_is():
     for bad in (0.5, 1.0, float("nan"), True, False):
         with pytest.raises(ValueError, match="exact rational"):
             as_rational(bad)
+
+
+def test_as_rational_refuses_an_exponent_over_the_digit_limit():
+    # Fraction would build 10**exponent; an exponent over int()'s digit
+    # limit is refused before it does, and a limit of 0 keeps no bound.
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert as_rational("1e4300") == 10**4300
+        assert as_rational("1e-4300") == Fraction(1, 10**4300)
+        for bad in ("1e4301", "1e-4301", " 2.5E+99999999 ", "1e99_999_999"):
+            with pytest.raises(ValueError, match="exponent over 4300") as refused:
+                as_rational(bad)
+            assert "PYTHONINTMAXSTRDIGITS=0" in str(refused.value)
+        sys.set_int_max_str_digits(0)
+        assert as_rational("1e4301") == 10**4301
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_entry_multiset_drops_silent_atoms():
