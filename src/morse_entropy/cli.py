@@ -61,18 +61,9 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-def _fmt12(x: float) -> str:
-    if math.isinf(x):
-        return "-inf" if x < 0 else "inf"
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".12g")
-
-
 def _json_value(x: float):
-    if math.isfinite(x):
-        return float(format(x, ".12g"))
-    return _fmt12(x)
+    text = format(x, ".12g")  # inf, -inf and nan stay strings
+    return float(text) if math.isfinite(x) else text
 
 
 _CHUNK_ROWS = 256  # CSV rows per write: few syscalls, and no whole text in memory
@@ -97,14 +88,18 @@ def _curve_chunks(epsilon, betti, log_p_bound, fmt) -> Iterator[str]:
     grid = (epsilon if epsilon is not None else betti).grid
 
     if fmt == "csv":
+        def column(curve):
+            return repeat("") if curve is None else (f"{r:.12g}" for r in curve.rates)
+
         if betti is epsilon:  # one curve in both columns: format each rate once
-            rates = (f"{r},{r}" for r in map(_fmt12, epsilon.rates))
+            rates = (f"{r},{r}" for r in column(epsilon))
         else:
-            eps = map(_fmt12, epsilon.rates) if epsilon is not None else repeat("")
-            bet = map(_fmt12, betti.rates) if betti is not None else repeat("")
-            rates = (f"{e},{b}" for e, b in zip(eps, bet))
-        bound = _fmt12(log_p_bound)
-        rows = (f"{_fmt12(float(c))},{pair},{bound}\n" for c, pair in zip(grid, rates))
+            rates = (f"{e},{b}" for e, b in zip(column(epsilon), column(betti)))
+        bound = f"{log_p_bound:.12g}"
+        # c.numerator / c.denominator rounds once, as float(c) does
+        rows = (
+            f"{c.numerator / c.denominator:.12g},{pair},{bound}\n" for c, pair in zip(grid, rates)
+        )
         yield "c,epsilon,betti,log_p_bound\n"
         while chunk := "".join(islice(rows, _CHUNK_ROWS)):
             yield chunk
@@ -115,7 +110,7 @@ def _curve_chunks(epsilon, betti, log_p_bound, fmt) -> Iterator[str]:
         eps = [_json_value(r) for r in epsilon.rates] if epsilon is not None else None
         bet = [_json_value(r) for r in betti.rates] if betti is not None else None
         payload = {
-            "c": [_json_value(float(c)) for c in grid],
+            "c": [_json_value(c.numerator / c.denominator) for c in grid],
             "epsilon": eps,
             "betti": bet,
             "log_p_bound": _json_value(log_p_bound),
@@ -271,9 +266,7 @@ def _cmd_verify(args) -> int:
     reports: List[LawReport] = []
 
     if args.suite in ("all", "domination"):
-        reports.append(
-            check_domination(spec, args.n_max, random_windows(rng, 25), cap=args.cap)
-        )
+        reports.append(check_domination(spec, args.n_max, random_windows(rng, 25)))
     if args.suite in ("all", "superadditivity"):
         draws = ([], [], [], [], [])  # n1, n2, c1, c2, delta per draw
         for _ in range(50):
@@ -283,7 +276,7 @@ def _cmd_verify(args) -> int:
             delta = Fraction(rng.randint(1, 20), 40)
             for column, value in zip(draws, (n1, n2, c1, c2, delta)):
                 column.append(value)
-        reports.append(check_superadditivity(spec, *draws, cap=args.cap))
+        reports.append(check_superadditivity(spec, *draws))
     if args.suite in ("all", "fekete"):
         centres = (Fraction(1, 2), Fraction(1, 4))
         reports.append(check_fekete(spec, centres, Fraction(1, 10), args.fekete_n_max, cap=args.cap))
@@ -328,20 +321,12 @@ def _cmd_thermo(args) -> int:
     print("beta,free_energy,gibbs_mean,mass_at_value_0")
     for beta in betas:
         state = gibbs(spec, beta)
-        print(
-            ",".join(
-                (
-                    _fmt12(beta),
-                    _fmt12(state.free_energy),
-                    _fmt12(state.mean_value(spec)),
-                    _fmt12(state.p[0]),
-                )
-            )
-        )
+        mean, mass = state.mean_value(spec), state.p[0]
+        print(f"{beta:.12g},{state.free_energy:.12g},{mean:.12g},{mass:.12g}")
     if report is not None:
         print("beta,g,points")
         for row in report.rows:
-            print(",".join((_fmt12(row.beta), _fmt12(row.g), str(row.points))))
+            print(f"{row.beta:.12g},{row.g:.12g},{row.points}")
         if not report.converged:
             print("laplace FAIL (quadrature unsettled)", file=sys.stderr)
             return 3

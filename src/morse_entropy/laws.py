@@ -10,12 +10,13 @@ analytic bounds with the homology curve peaking at the total homology
 dimension.  The first three rest on one premise about the atoms, which
 validation ensures: 0 <= betti_weight <= multiplicity, and atoms at 0
 and 1 with betti_weight >= 1.  Each of them validates the atoms again
-before any count, so atoms that break the premise raise validation's
+first, so atoms that break the premise raise validation's
 :class:`~.spectrum.SpectrumError` (a ``ValueError``), tagged with the
-broken invariant, and then sizes and counts the spectrum validation
-returns, whatever ``denom`` the caller's spectrum held.  On the premise, domination, superadditivity and
+broken invariant.  On the premise, domination, superadditivity and
 Fekete's unit floor are certificates read off the atoms; the one exact
-count is Fekete's, at its largest n.
+count is Fekete's, at its largest n, and it sizes and counts the
+spectrum validation returns, whatever ``denom`` the caller's spectrum
+held.  The cap bounds that count and nothing else.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import random
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .counter import Kind, WindowQuery, _check_cap, finite_rate, window_counts
+from .counter import Kind, WindowQuery, finite_rate, window_counts
 from .rate import betti_curve, epsilon_curve, maxent_rate, MaxEntProblem, window_sup_rate
 from .spectrum import CriticalSpectrum, entry_multiset, validate_spectrum
 
@@ -56,28 +57,25 @@ def check_domination(
     spec: CriticalSpectrum,
     n_max: int,
     windows: Sequence[WindowQuery],
-    *,
-    cap: Optional[int] = None,
 ) -> LawReport:
     """Homology window counts never exceed critical-point window counts.
 
     The homology side is counted half-open, the critical side closed, so
     the comparison is exactly the one the downstream rate inequality
     rests on; the ``boundary`` field of the supplied windows is ignored.
-    ``n_max`` must be at least 1, ``windows`` nonempty, the atoms must
-    meet the premise (see the module docstring), and n_max must be within
-    the cap.  The law is then a certificate, one instance per (n,
-    window): 0 <= betti_weight <= multiplicity makes the homology site
-    histogram at most the critical one in every coefficient, n-th powers
-    of nonnegative polynomials keep that order, and the half-open window
-    lies inside the closed one.  Nothing is counted.
+    ``n_max`` must be at least 1, ``windows`` nonempty, and the atoms must
+    meet the premise (see the module docstring).  The law is then a
+    certificate, one instance per (n, window): 0 <= betti_weight <=
+    multiplicity makes the homology site histogram at most the critical
+    one in every coefficient, n-th powers of nonnegative polynomials keep
+    that order, and the half-open window lies inside the closed one.
+    Nothing is counted, so no cap applies.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not windows:
         raise ValueError("need at least one window")
-    spec = validate_spectrum(spec.atoms)
-    _check_cap(spec, n_max, cap)
+    validate_spectrum(spec.atoms)
     return LawReport("betti_dominated_by_critical", n_max * len(windows), ())
 
 
@@ -88,8 +86,6 @@ def check_superadditivity(
     c1: Union[Fraction, Sequence[Fraction]],
     c2: Union[Fraction, Sequence[Fraction]],
     delta: Union[Fraction, Sequence[Fraction]],
-    *,
-    cap: Optional[int] = None,
 ) -> LawReport:
     """Window counts multiply under concatenation of tuples.
 
@@ -102,11 +98,11 @@ def check_superadditivity(
     The five draw arguments are one draw, or tuples or lists of equal
     length holding one draw per index; the report has one instance per
     draw and kind.  Each draw's (c1, delta) and (c2, delta) windows must
-    be valid :class:`~.counter.WindowQuery` windows, the atoms must meet
-    the premise (see the module docstring), and the cap is checked for
-    the largest n1 + n2.  The law is then a certificate: with no weight
-    below 0, concatenation maps pairs of part tuples injectively into the
-    whole window and multiplies their weights.  Nothing is counted.
+    be valid :class:`~.counter.WindowQuery` windows, and the atoms must
+    meet the premise (see the module docstring).  The law is then a
+    certificate: with no weight below 0, concatenation maps pairs of part
+    tuples injectively into the whole window and multiplies their
+    weights.  Nothing is counted, so no cap applies.
     """
     columns = [
         tuple(x) if isinstance(x, (tuple, list)) else (x,) for x in (n1, n2, c1, c2, delta)
@@ -119,8 +115,7 @@ def check_superadditivity(
         raise ValueError("need at least one draw")
     if any(a < 1 or b < 1 for a, b, *_ in draws):
         raise ValueError("n1 and n2 must be >= 1")
-    spec = validate_spectrum(spec.atoms)
-    _check_cap(spec, max(a + b for a, b, *_ in draws), cap)
+    validate_spectrum(spec.atoms)
     return LawReport("window_count_superadditivity", 2 * len(draws), ())
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import pairwise
 from operator import mul
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
@@ -248,7 +249,10 @@ class Curve(
             raise ValueError("grid and rates must have equal length")
         if len(grid) < 2:
             raise ValueError("a curve needs at least two points")
-        if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
+        # integer cross-products compare rationals without building a Fraction
+        if any(
+            a.numerator * b.denominator >= b.numerator * a.denominator for a, b in pairwise(grid)
+        ):
             raise ValueError("grid must be strictly increasing")
         return super().__new__(cls, grid, rates, kind)
 

@@ -4,12 +4,16 @@ The partition sum over a spectrum's critical values, Z(beta) =
 sum_i m_i exp(-beta v_i), carries the same information as the entropy
 maximiser in :mod:`.rate` through the Legendre pairing
 ``epsilon(c) = inf_beta (log Z(beta) + beta c)``.  This module keeps its
-own root-find in beta, an Illinois-modified regula falsi on the Gibbs
-mean, sharing no solver code with :mod:`.rate`, so agreement with the
-maxent solver is a genuine two-route check and not a function compared
-with itself.  A solve measures the atoms from the hull edge nearer its
-target and converts them to floats once, not at every Gibbs-mean step,
-so the result is accurate relative to its size at both edges.
+own root-find in beta, a derivative-free regula falsi on the Gibbs mean
+with Anderson-Bjorck end scaling, sharing no solver code with
+:mod:`.rate`, so agreement with the maxent solver is a genuine two-route
+check and not a function compared with itself.  A solve places its
+target and the atoms as integer numerators over a common denominator,
+measures them from the hull edge nearer the target and rounds each
+distance to a float once, so the result is accurate relative to its size
+at both edges.  The root-find starts at the closed-form root of the
+two-atom family made of the edge atom and its neighbour, and steps out
+from there with doubling steps until the Gibbs mean crosses the target.
 
 The continuum analogue is exercised on the circle with height
 ``f0(theta) = (1 - cos theta) / 2``: averaging exp(-beta f0) over the
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
@@ -87,76 +92,106 @@ def _gibbs_mean(log_m: List[float], fv: List[float], beta: float) -> float:
     return sum(map(mul, masses, fv)) / sum(masses)
 
 
-def legendre_epsilon(spec: CriticalSpectrum, c: Union[Fraction, float]) -> float:
-    """inf over beta of F(beta) + beta*c, by regula falsi on the Gibbs mean.
+def _gibbs_root(log_m: List[float], fv: List[float], d: float, beta: float) -> float:
+    """The beta where the Gibbs mean, decreasing in beta, equals d > 0.
 
-    Values and target are measured from the hull edge nearer c, which
-    leaves the infimum unchanged.  The Gibbs mean then decreases strictly
-    in beta from the far edge to 0, so the minimiser is the beta matching
-    the mean to the target d; the Illinois-modified regula falsi stops
-    once the mean is within 1e-16*d of it or the bracket stops
-    shrinking.  Targets at the extreme values short-circuit to
-    log(multiplicity there); targets outside the value hull raise
-    ValueError.
+    From the seed ``beta``, steps of 1, 2, 4, ... walk toward d until the
+    mean crosses it; each end that does not cross replaces the last.  A
+    regula falsi then runs on the bracket, scaling a kept end's value the
+    Anderson-Bjorck way, until the mean is within MEAN_RTOL*d of d or the
+    bracket stops shrinking.  It raises ConvergenceError when the steps
+    leave the float range before the mean crosses d, or after
+    MAX_ITERATIONS regula falsi steps.
     """
-    v_lo, v_hi = spec.atoms[0].value, spec.atoms[-1].value
-    if not v_lo <= c <= v_hi:
-        raise ValueError(f"target {c} outside the value hull [{v_lo}, {v_hi}]")
-    if c == v_lo:
-        return math.log(spec.atoms[0].multiplicity)
-    if c == v_hi:
-        return math.log(spec.atoms[-1].multiplicity)
-
-    # Measure from the nearer edge, exactly in rationals and rounded once,
-    # so a target a hair inside either edge keeps its relative precision.
-    c = Fraction(c)
-    below, above = c - v_lo, v_hi - c
-    log_m = [math.log(a.multiplicity) for a in spec.atoms]
-    if above < below:
-        fv, d = [float(v_hi - a.value) for a in spec.atoms], float(above)
-    else:
-        fv, d = [float(a.value - v_lo) for a in spec.atoms], float(below)
-    # Gibbs mean decreases in beta: expand until [lo, hi] straddles d.
-    lo, hi = -1.0, 1.0
-    f_lo = _gibbs_mean(log_m, fv, lo) - d
-    f_hi = _gibbs_mean(log_m, fv, hi) - d
-    for _ in range(60):
-        if f_lo >= 0.0:
-            break
-        lo *= 2.0
-        f_lo = _gibbs_mean(log_m, fv, lo) - d
-    for _ in range(60):
-        if f_hi <= 0.0:
-            break
-        hi *= 2.0
-        f_hi = _gibbs_mean(log_m, fv, hi) - d
-
     tol = MEAN_RTOL * d
-    kept = 0  # side that kept its endpoint last step: -1 lo, 1 hi
+    f = _gibbs_mean(log_m, fv, beta) - d
+    if abs(f) <= tol:
+        return beta
+    up = f > 0.0  # the mean is above d: the root lies at a larger beta
+    # steps start at 1, or at one ulp of a seed too large for 1 to move
+    step = max(1.0, math.ulp(beta)) * (1.0 if up else -1.0)
+    while True:
+        far = beta + step
+        if not math.isfinite(far):
+            raise ConvergenceError("no Gibbs-mean bracket within the float range")
+        f_far = _gibbs_mean(log_m, fv, far) - d
+        if (f_far <= 0.0) if up else (f_far >= 0.0):
+            break
+        beta, f = far, f_far
+        step *= 2.0
+    lo, f_lo, hi, f_hi = (beta, f, far, f_far) if up else (far, f_far, beta, f)
+
+    kept = 0  # the end kept last step: 1 hi, -1 lo
     for _ in range(MAX_ITERATIONS):
         beta = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo < beta < hi:
             # the secant lands on an end: the root is within rounding of it
-            beta = hi if beta >= hi else lo
-            break
+            return hi if beta >= hi else lo
         f = _gibbs_mean(log_m, fv, beta) - d
         if abs(f) <= tol:
-            break
+            return beta
         if f > 0.0:
-            lo, f_lo = beta, f
             if kept == 1:
-                f_hi *= 0.5
-            kept = 1
+                scale = 1.0 - f / f_lo
+                f_hi *= scale if scale > 0.0 else 0.5
+            lo, f_lo, kept = beta, f, 1
         else:
-            hi, f_hi = beta, f
             if kept == -1:
-                f_lo *= 0.5
-            kept = -1
+                scale = 1.0 - f / f_hi
+                f_lo *= scale if scale > 0.0 else 0.5
+            hi, f_hi, kept = beta, f, -1
+    raise ConvergenceError(
+        f"Gibbs-mean regula falsi did not reach {MEAN_RTOL} relative "
+        f"within {MAX_ITERATIONS} iterations"
+    )
+
+
+def legendre_epsilon(spec: CriticalSpectrum, c: Union[Fraction, float]) -> float:
+    """inf over beta of F(beta) + beta*c, by regula falsi on the Gibbs mean.
+
+    The target is read exactly, a float as the binary fraction it holds.
+    It and the atom values become integer numerators over one common
+    denominator, so the hull test is exact and each distance below is
+    rounded to a float once.  Values and target are measured from the hull
+    edge nearer c, which leaves the infimum unchanged.  The Gibbs mean then
+    decreases strictly in beta from the far edge to 0, so the minimiser is
+    the beta matching the mean to the target's distance d from that edge.
+    The search starts at the root of the two-atom family made of the edge
+    atom (multiplicity m0) and its nearest neighbour (gap g, multiplicity
+    m1), beta0 = (log((g - d)/d) + log m1 - log m0)/g when d < g and 0
+    otherwise, which is exact for a two-atom spectrum; see
+    :func:`_gibbs_root` for the rest.  Targets at the extreme values
+    short-circuit to log(multiplicity there); targets outside the value
+    hull raise ValueError.
+    """
+    atoms = spec.atoms
+    # spec.denom of a valid spectrum, taken from the atoms so a spectrum
+    # built without validation cannot misplace them
+    denom = math.lcm(*[a.value.denominator for a in atoms])
+    try:
+        num, den = c.as_integer_ratio()
+    except (ValueError, OverflowError):  # nan or an infinite float
+        num, den = 0, 0  # den = 0 puts it outside the hull below
+    # The atoms over denom, and the target and hull ends over den * denom
+    ks = [a.value.numerator * (denom // a.value.denominator) for a in atoms]
+    t, lo, hi = num * denom, ks[0] * den, ks[-1] * den
+    if not (den and lo <= t <= hi):
+        raise ValueError(f"target {c} outside the value hull [{atoms[0].value}, {atoms[-1].value}]")
+    if t == lo:
+        return math.log(atoms[0].multiplicity)
+    if t == hi:
+        return math.log(atoms[-1].multiplicity)
+
+    log_m = [math.log(a.multiplicity) for a in atoms]
+    # int / int rounds the exact distance once, as float(Fraction) does
+    if hi - t < t - lo:
+        fv, d, edge, near = [(ks[-1] - k) / denom for k in ks], (hi - t) / (den * denom), -1, -2
     else:
-        raise ConvergenceError(
-            f"Gibbs-mean regula falsi did not reach {MEAN_RTOL} relative "
-            f"within {MAX_ITERATIONS} iterations"
-        )
+        fv, d, edge, near = [(k - ks[0]) / denom for k in ks], (t - lo) / (den * denom), 0, 1
+    g = fv[near]
+    # log(g - d) - log(d) stays finite where (g - d)/d would overflow
+    seed = (math.log(g - d) - math.log(d) + log_m[near] - log_m[edge]) / g if 0.0 < d < g else 0.0
+    beta = _gibbs_root(log_m, fv, d, seed)
     return _log_z(*_boltzmann(log_m, fv, beta)) + beta * d
 
 
@@ -165,10 +200,10 @@ def circle_height(theta: float) -> float:
     return 0.5 * (1.0 - math.cos(theta))
 
 
-def _circle_partition_mean(beta: float, points: int) -> float:
-    # Periodic trapezoid rule collapses to the plain average over one period.
+def _circle_sum(beta: float, points: int, ks: range, total: float = 0.0) -> float:
+    """total plus exp(-beta * height) at the angles k * 2 pi / points for k in ks, rounded once."""
     step = 2.0 * math.pi / points
-    return math.fsum(math.exp(-beta * circle_height(k * step)) for k in range(points)) / points
+    return math.fsum(chain((total,), (math.exp(-beta * circle_height(k * step)) for k in ks)))
 
 
 class LaplaceRow(NamedTuple):
@@ -197,8 +232,9 @@ class LaplaceReport(NamedTuple):
 def laplace_check(beta_grid: Sequence[float]) -> LaplaceReport:
     """Evaluate g(beta) = -log Z(beta) / beta over a positive beta grid.
 
-    Z is the average of exp(-beta * height) over the circle, refined by
-    doubling the quadrature grid until successive values agree to 1e-10
+    Z is the average of exp(-beta * height) over a uniform grid on the
+    circle.  Each refinement doubles the grid and adds only the new
+    midpoints to the running sum, until successive averages agree to 1e-10
     relative.  Asserted behaviour, collected as violations: g stays in
     (0, 5*log(beta)/beta] for beta >= 10, and g decreases along the grid.
     """
@@ -215,12 +251,17 @@ def laplace_check(beta_grid: Sequence[float]) -> LaplaceReport:
     rows: List[LaplaceRow] = []
     violations: List[str] = []
     for beta in betas:
+        # The periodic trapezoid rule is the plain average over one period.
         points = _QUADRATURE_START_POINTS
-        z = _circle_partition_mean(beta, points)
+        total = _circle_sum(beta, points, range(points))
+        z = total / points
         converged = False
         while not converged and points <= _QUADRATURE_MAX_POINTS // 2:
-            refined = _circle_partition_mean(beta, 2 * points)
+            # The doubled grid's even points are the old ones bit for bit,
+            # since (2k) * (h/2) == k * h in floats: add only its odd ones.
+            total = _circle_sum(beta, 2 * points, range(1, 2 * points, 2), total)
             points *= 2
+            refined = total / points
             converged = abs(refined - z) <= QUADRATURE_RTOL * abs(refined)
             z = refined
         g = -math.log(z) / beta

@@ -431,7 +431,7 @@ def test_count_too_long_to_print_exits_four(capsys):
 # curve grid limit is tested by test_curve_grid_validation.
 INT_OPTION_BOUNDS = {
     ("count", "--n"): "cap",
-    ("verify", "--n-max"): "cap",
+    ("verify", "--n-max"): "nothing: the domination certificate counts nothing",
     ("verify", "--fekete-n-max"): "cap",
     ("curve", "--grid"): "curve grid limit",
     ("count", "--cap"): "the user's own bound",
@@ -456,7 +456,10 @@ def _int_options():
 
 def test_every_int_option_is_bounded():
     assert set(_int_options()) == set(INT_OPTION_BOUNDS)
-    sizes = {key for key, bound in INT_OPTION_BOUNDS.items() if bound in ("cap", "curve grid limit")}
+    sizes = {
+        key for key, bound in INT_OPTION_BOUNDS.items()
+        if not bound.startswith(("the user", "harmless"))
+    }
     assert {(argv[0], flag) for flag, argv in SIZE_COMMANDS.items()} == sizes
 
 
@@ -469,6 +472,18 @@ def test_cap_bounded_int_options_refuse_a_huge_value(capsys, command, option):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "16384" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [key for key, bound in INT_OPTION_BOUNDS.items() if bound.startswith("nothing")],
+)
+def test_certificate_sized_int_options_accept_a_huge_value(capsys, command, option):
+    # a size that only multiplies a certificate's instance count needs no cap
+    assert run([*BASE_ARGS[command], "--suite", "domination", option, "1000000000000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "PASS betti_dominated_by_critical instances=25000000000000 violations=0\n"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(
@@ -828,8 +843,9 @@ def test_thermo_stdout_is_pinned(capsys, args, digest):
         ),
         (["--preset", "circle"], "7d5740af632b1dffde0bd216ce963ede203394620e0904db4981da3a83ed6dfb"),
         (
+            # Fekete's count at n = 64, grid 128: the certificates read no cap
             ["--preset", "torus", "--cap", "12"],
-            "508ecf218399c1d7ed43eee9f8d5225607477429c64661128e1deb9ed5f8e2d0",
+            "593cffe9fd2c8219ca679d8391349c4e25a1d7589ec5c71e69387d49be1a3e5d",
         ),
         (
             ["--preset", "torus", "--fekete-n-max", "23"],

@@ -1,6 +1,7 @@
 """Law checks: domination, superadditivity, convergence, curve bounds."""
 
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -72,7 +73,7 @@ def test_domination_on_random_spectra():
     for _ in range(20):
         spec = random_spectrum(rng)
         windows = random_windows(rng, 8)
-        report = check_domination(spec, 6, windows, cap=1 << 20)
+        report = check_domination(spec, 6, windows)
         assert report.passed, report.violations
         assert report == swept_check_domination(spec, 6, windows, cap=1 << 20)
 
@@ -81,7 +82,7 @@ def test_domination_on_validated_spectra_counts_nothing(monkeypatch):
     monkeypatch.setattr(counter, "_miller", None)  # any count would raise TypeError
     rng = random.Random(22)
     for spec in [CIRCLE, TORUS] + [random_spectrum(rng) for _ in range(20)]:
-        report = check_domination(spec, 40, random_windows(rng, 8), cap=1 << 20)
+        report = check_domination(spec, 40, random_windows(rng, 8))
         assert report == LawReport("betti_dominated_by_critical", 320, ())
 
 
@@ -101,15 +102,16 @@ def test_domination_counts_a_negative_betti_weight():
         check_domination(spec, 2, window)
 
 
-def test_domination_checks_the_cap_before_any_work(monkeypatch):
+def test_domination_reads_no_cap(monkeypatch):
+    # a certificate counts nothing, so no n is too large for it: n * denom
+    # here is far past the default cap of 16384
     monkeypatch.setattr(counter, "_miller", None)  # any count would raise TypeError
     window = [WindowQuery(Fraction(1, 2), Fraction(1, 4))]
-    with pytest.raises(ResourceCapError, match="16385 exceeds cap 16384"):
-        check_domination(CIRCLE, 16385, window)
-    # atoms that fail the premise are refused before the cap is read
+    assert check_domination(CIRCLE, 10**12, window) == LawReport(
+        "betti_dominated_by_critical", 10**12, ()
+    )
     with pytest.raises(ValueError, match="betti_weight 5 > multiplicity 1"):
-        check_domination(bypassed((0, 1, 1), (Fraction(1, 2), 1, 5), (1, 1, 1)), 6, window, cap=11)
-    assert check_domination(CIRCLE, 16384, window).passed
+        check_domination(bypassed((0, 1, 1), (Fraction(1, 2), 1, 5), (1, 1, 1)), 6, window)
 
 
 def test_domination_is_strict_when_multiplicity_exceeds_betti():
@@ -176,9 +178,9 @@ def test_domination_prefix_sums_equal_window_counts():
         if spec in bypassed_spectra:
             report = swept_check_domination(spec, 7, windows, cap=1 << 20)
             with pytest.raises(ValueError):
-                check_domination(spec, 7, windows, cap=1 << 20)
+                check_domination(spec, 7, windows)
         else:
-            report = check_domination(spec, 7, windows, cap=1 << 20)
+            report = check_domination(spec, 7, windows)
         assert report == _domination_by_window_counts(spec, 7, windows)
         failed += not report.passed
     assert failed  # a bypassed spectrum: violations and their order are compared too
@@ -214,7 +216,7 @@ def test_superadditivity_on_random_spectra():
         c1 = Fraction(rng.randint(0, 60), 60)
         c2 = Fraction(rng.randint(0, 60), 60)
         delta = Fraction(rng.randint(1, 20), 40)
-        report = check_superadditivity(spec, n1, n2, c1, c2, delta, cap=1 << 20)
+        report = check_superadditivity(spec, n1, n2, c1, c2, delta)
         assert report.passed, report.violations
         assert report == swept_check_superadditivity(spec, n1, n2, c1, c2, delta, cap=1 << 20)
 
@@ -235,14 +237,14 @@ def test_superadditivity_input_validation():
     ids=["negative_delta", "zero_delta", "c1_above_1", "float_draw"],
 )
 def test_superadditivity_refuses_a_window_that_does_not_exist(monkeypatch, draw, message):
-    # WindowQuery validates each draw's part windows, before the premise and
-    # the cap: BROKEN at cap 1 would fail both.
+    # WindowQuery validates each draw's part windows, before the premise:
+    # BROKEN would fail it.
     monkeypatch.setattr(counter, "_miller", None)  # any count would raise TypeError
     good = (1, 1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 10))
-    for spec, cap in ((TORUS, None), (BROKEN, 1)):
+    for spec in (TORUS, BROKEN):
         for args in (draw, [list(pair) for pair in zip(good, draw)]):  # scalar and columns
             with pytest.raises(ValueError, match=message) as refused:
-                check_superadditivity(spec, *args, cap=cap)
+                check_superadditivity(spec, *args)
             assert not isinstance(refused.value, SpectrumError)
 
 
@@ -263,11 +265,10 @@ def test_law_checks_size_and_count_the_spectrum_they_validated():
     assert check_fekete(odd, centres, delta, 2000, cap=100000) == check_fekete(
         TORUS, centres, delta, 2000, cap=100000
     )
-    # caps at the torus's n * 2, which a denom of 3 would exceed
     windows = [WindowQuery(Fraction(1, 2), Fraction(1, 4))]
-    assert check_domination(odd, 8, windows, cap=16) == check_domination(TORUS, 8, windows, cap=16)
+    assert check_domination(odd, 8, windows) == check_domination(TORUS, 8, windows)
     draw = (3, 5, Fraction(1, 4), Fraction(3, 4), Fraction(1, 8))
-    assert check_superadditivity(odd, *draw, cap=16) == check_superadditivity(TORUS, *draw, cap=16)
+    assert check_superadditivity(odd, *draw) == check_superadditivity(TORUS, *draw)
 
 
 def test_fekete_preconditions():
@@ -413,16 +414,17 @@ def test_every_law_check_refuses_a_broken_premise_before_any_count(monkeypatch, 
     spec = bypassed(*entries)
     half, tenth = Fraction(1, 2), Fraction(1, 10)
     checks = (
-        lambda cap: check_domination(spec, 4, [WindowQuery(half, tenth)], cap=cap),
-        lambda cap: check_superadditivity(spec, 2, 3, half, half, tenth, cap=cap),
-        lambda cap: check_fekete(spec, (half, Fraction(1)), tenth, 64, cap=cap),
+        lambda: check_domination(spec, 4, [WindowQuery(half, tenth)]),
+        lambda: check_superadditivity(spec, 2, 3, half, half, tenth),
+        lambda: check_fekete(spec, (half, Fraction(1)), tenth, 64),
+        # the premise is checked before the cap
+        lambda: check_fekete(spec, (half, Fraction(1)), tenth, 64, cap=1),
     )
     for check in checks:
-        for cap in (None, 1):  # the premise is checked before the cap
-            with pytest.raises(ValueError) as refused:
-                check(cap)
-            assert isinstance(refused.value, SpectrumError)
-            assert refused.value.violation == tag
+        with pytest.raises(ValueError) as refused:
+            check()
+        assert isinstance(refused.value, SpectrumError)
+        assert refused.value.violation == tag
 
 
 def test_unit_floor_certificate_holds_on_random_spectra():
@@ -475,16 +477,16 @@ def test_batched_superadditivity_equals_single_draws(monkeypatch):
         draws = _verify_draws(seed)
         for spec in (TORUS, random_spectrum(random.Random(seed))):
             singles = merge_reports(
-                *(check_superadditivity(spec, *draw, cap=1 << 20) for draw in zip(*draws))
+                *(check_superadditivity(spec, *draw) for draw in zip(*draws))
             )
             powers = _counting(monkeypatch, "window_counts")
-            batched = check_superadditivity(spec, *draws, cap=1 << 20)
+            batched = check_superadditivity(spec, *draws)
             monkeypatch.undo()
             assert batched == singles
             assert powers == []
         # SIGNED's violations and their order: see the oracle's digest below
         with pytest.raises(ValueError, match="multiplicity at value 1/2 must be >= 1, got -1"):
-            check_superadditivity(SIGNED, *draws, cap=1 << 20)
+            check_superadditivity(SIGNED, *draws)
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     assert check_superadditivity(TORUS, [1], [1], [half], [half], [quarter]) == (
         check_superadditivity(TORUS, 1, 1, half, half, quarter)
@@ -535,13 +537,17 @@ def test_superadditivity_counts_a_negative_multiplicity():
         check_superadditivity(spec, *_verify_draws(0))
 
 
-def test_superadditivity_cap_error_names_the_largest_n_a_draw_reads(monkeypatch, capsys):
-    # seed 0 draws n1 + n2 up to 16: the cap is checked once for it,
-    # grid 32, and nothing is counted
+def test_superadditivity_reads_no_cap(monkeypatch, capsys):
+    # The draws reach n1 + n2 = 16, past a cap of 15 on the circle's grid
+    # 16 * 1 and 12 on the torus's 16 * 2, but the certificate counts
+    # nothing: every seed passes, whatever --cap says.
     monkeypatch.setattr(counter, "_miller", None)  # any count would raise TypeError
-    args = ["verify", "--preset", "torus", "--suite", "superadditivity", "--cap", "12"]
-    assert cli.run(args) == 4
-    assert capsys.readouterr().err == "error: sum grid n*denom = 32 exceeds cap 12\n"
+    for seed, (preset, cap) in itertools.product(range(8), (("circle", "15"), ("torus", "12"))):
+        args = ["verify", "--preset", preset, "--suite", "superadditivity", "--seed", str(seed)]
+        assert cli.run([*args, "--cap", cap]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "PASS window_count_superadditivity instances=100 violations=0\n"
+        assert captured.err == ""
 
 
 def test_verify_traces_one_superadditivity_call(monkeypatch, capsys):

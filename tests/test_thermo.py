@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from morse_entropy import (
     ConvergenceError,
+    CriticalSpectrum,
     MaxEntProblem,
     circle_height,
     epsilon_curve,
@@ -125,13 +126,17 @@ EDGE_TARGETS = BOTTOM_EDGE + [1 - c for c in BOTTOM_EDGE]
 THREE_ONE = validate_spectrum([(0, 3, 1), (1, 1, 1)])
 
 
+def _three_one(c):
+    # weights (3, 1) on (0, 1): H(c) + (1 - c) log 3, tiny only near c = 1
+    return edge_binary_entropy(c) + float(1 - c) * math.log(3.0)
+
+
 @pytest.mark.parametrize(
     "spec, closed_form",
     [
         (CIRCLE, edge_binary_entropy),
         (TORUS, lambda c: 2.0 * edge_binary_entropy(c)),
-        # weights (3, 1) on (0, 1): H(c) + (1 - c) log 3, tiny only near c = 1
-        (THREE_ONE, lambda c: edge_binary_entropy(c) + float(1 - c) * math.log(3.0)),
+        (THREE_ONE, _three_one),
     ],
     ids=["circle", "torus", "weights_3_1"],
 )
@@ -140,8 +145,34 @@ def test_both_routes_match_the_closed_form_at_both_edges(spec, closed_form):
     # stop, measured from the nearer edge, resolves it
     for c in EDGE_TARGETS:
         want = closed_form(c)
-        assert legendre_epsilon(spec, c) == pytest.approx(want, rel=1e-9, abs=0.0), c
+        assert legendre_epsilon(spec, c) == pytest.approx(want, rel=1e-15, abs=0.0), c
         assert maxent_epsilon(spec, c) == pytest.approx(want, rel=1e-9, abs=0.0), c
+
+
+@pytest.mark.parametrize("k", [30, 100, 200, 300, 310])
+def test_legendre_is_relatively_accurate_far_inside_both_edges(k):
+    # a search bracketed from beta = +-1 stopped on a doubled end here,
+    # 10-83% off; at k = 310 the distance from the edge is subnormal
+    for spec, closed_form in ((CIRCLE, edge_binary_entropy), (THREE_ONE, _three_one)):
+        for c in (Fraction(1, 10**k), 1 - Fraction(1, 10**k)):
+            assert legendre_epsilon(spec, c) == pytest.approx(closed_form(c), rel=1e-15, abs=0.0)
+    c = Fraction(1, 10**k)
+    assert legendre_epsilon(TORUS, c) == pytest.approx(2.0 * edge_binary_entropy(c), rel=1e-15)
+
+
+def test_legendre_places_the_atoms_without_trusting_denom():
+    # torus atoms under a wrong denom of 3, built without validation
+    odd = CriticalSpectrum(atoms=TORUS.atoms, denom=3)
+    for c in (Fraction(1, 3), Fraction(1, 2), Fraction(7, 10), 0.25):
+        assert legendre_epsilon(odd, c) == legendre_epsilon(TORUS, c)
+
+
+def test_legendre_at_a_distance_that_rounds_to_zero_reads_the_edge():
+    # 10**-400 from an edge is 0.0 as a float: no seed, and the rate is the
+    # edge's log multiplicity
+    c = Fraction(1, 10**400)
+    assert legendre_epsilon(THREE_ONE, c) == math.log(3.0)
+    assert legendre_epsilon(THREE_ONE, 1 - c) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,26 +182,55 @@ def test_routes_agree_relatively_at_edge_targets_of_random_spectra(seed, c):
     assert legendre_epsilon(spec, c) == pytest.approx(maxent_epsilon(spec, c), rel=1e-9, abs=0.0)
 
 
-def test_legendre_takes_few_gibbs_mean_evaluations_along_a_grid(monkeypatch):
-    # guards the work per solve, not its time: a bisection to an absolute
-    # 1e-12 on the mean took 39.6 here
-    mean = thermo_module._gibbs_mean
+def _counting(monkeypatch, name):
+    """Calls of the thermo function ``name`` from here on, one None each."""
+    function = getattr(thermo_module, name)
     calls = []
 
     def counting(*args):
         calls.append(None)
-        return mean(*args)
+        return function(*args)
 
-    monkeypatch.setattr(thermo_module, "_gibbs_mean", counting)
-    for j in range(1, 1000):
-        legendre_epsilon(TORUS, Fraction(j, 1000))
-    assert len(calls) / 999 <= 16
+    monkeypatch.setattr(thermo_module, name, counting)
+    return calls
+
+
+def test_legendre_takes_few_gibbs_mean_evaluations_along_a_grid(monkeypatch):
+    # guards the work per solve, not its time: a bisection to an absolute
+    # 1e-12 on the mean took 39.6 on the torus, and an Illinois search
+    # bracketed from beta = +-1 took 11.7 on the circle and 12.5 on the
+    # torus; the two-atom seed is exact on the circle (2.2 here, 8.4 on
+    # the torus)
+    for spec, most in ((CIRCLE, 3), (TORUS, 9)):
+        calls = _counting(monkeypatch, "_gibbs_mean")
+        for j in range(1, 1000):
+            legendre_epsilon(spec, Fraction(j, 1000))
+        monkeypatch.undo()
+        assert len(calls) / 999 <= most
 
 
 def test_legendre_reports_non_convergence(monkeypatch):
+    # on the torus the two-atom seed is not the root, so the search runs
     monkeypatch.setattr(thermo_module, "MAX_ITERATIONS", 0)
     with pytest.raises(ConvergenceError):
-        legendre_epsilon(CIRCLE, Fraction(1, 3))
+        legendre_epsilon(TORUS, Fraction(1, 3))
+
+
+def test_legendre_reports_a_root_past_the_float_range():
+    # atoms 1e-310 apart and a target 1e-320 from the edge: the root in
+    # beta is about 2.3e311, so the seed overflows and the search must give
+    # up, not step on inf
+    spec = validate_spectrum([(0, 1, 1), (Fraction(1, 10**310), 1, 1), (1, 1, 1)])
+    with pytest.raises(ConvergenceError, match="float range"):
+        legendre_epsilon(spec, Fraction(1, 10**320))
+    # halfway between the two: the seed's subnormal rounding puts it near
+    # -1e297, where a step of 1 would not move it
+    assert legendre_epsilon(spec, Fraction(1, 2 * 10**310)) == pytest.approx(math.log(2.0))
+    # the root is near 5e101, about 340 doublings from the seed 0
+    far = validate_spectrum(
+        [(0, 5, 1), (Fraction(3, 10**300), 5, 1), (Fraction(9, 10**100), 3, 1), (1, 3, 1)]
+    )
+    assert legendre_epsilon(far, Fraction(6, 10**300)) == pytest.approx(math.log(10.0), rel=1e-15)
 
 
 def test_circle_height():
@@ -191,6 +251,17 @@ def test_laplace_squeeze_values():
         assert row.converged
         assert row.points >= 512
         assert row.z == pytest.approx(math.exp(-row.beta * row.g), rel=1e-9)
+
+
+def test_laplace_refinement_evaluates_only_new_midpoints(monkeypatch):
+    # Each doubling adds only the odd points of the new grid: 512 + 512 +
+    # 512 + 1024 + 4096 + 16384 heights, where summing every grid afresh
+    # took 44544.
+    calls = _counting(monkeypatch, "circle_height")
+    report = laplace_check([10.0, 100.0, 1000.0, 1e4, 1e5, 1e6])
+    assert report.passed
+    assert tuple(row.points for row in report.rows) == (512, 512, 512, 1024, 4096, 16384)
+    assert len(calls) <= 23040
 
 
 def test_laplace_bound_tightens_with_beta():
