@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 bad input, 2 a checked law reported violations,
 3 a numeric routine failed to converge, 4 a resource limit was exceeded:
 the cap, a curve grid over 16384 points, or Python's digit limit for
-printing a count (PYTHONINTMAXSTRDIGITS=0 lifts it).
+printing an integer (PYTHONINTMAXSTRDIGITS=0 lifts it).
 The cap (largest sum grid n * denom) defaults to 16384 and is set only
 with --cap.
 
@@ -197,6 +197,17 @@ def _load_spectrum(args) -> CriticalSpectrum:
     return validate_spectrum(raw)
 
 
+def _decimal(number: int, what: str) -> str:
+    """``number`` as decimal text; past CPython's digit limit, a ResourceCapError naming ``what``."""
+    try:
+        return str(number)
+    except ValueError:
+        raise ResourceCapError(
+            f"the {what} has more digits than Python's limit of {sys.get_int_max_str_digits()}"
+            " for printing an integer; set PYTHONINTMAXSTRDIGITS=0 to print it"
+        ) from None
+
+
 def _write_output(chunks: Iterable[str], out: Optional[str]) -> None:
     if out is None:
         sys.stdout.writelines(chunks)
@@ -220,7 +231,7 @@ def _cmd_spectrum(args) -> int:
         ]
         _write_output([json.dumps(records, indent=2) + "\n"], args.out)
         return 0
-    lines = [f"ok atoms={len(spec.atoms)} p={spec.p} B={spec.total_betti} denom={spec.denom}"]
+    lines = [f"ok atoms={len(spec.atoms)} p={spec.p} B={spec.total_betti} denom={_decimal(spec.denom, 'denom')}"]
     for a in spec.atoms:
         lines.append(f"{a.value} {a.multiplicity} {a.betti_weight}")
     _write_output(["\n".join(lines) + "\n"], args.out)
@@ -249,14 +260,7 @@ def _cmd_count(args) -> int:
     boundary = kind.boundary if args.boundary is None else Boundary(args.boundary)
     query = WindowQuery(args.c, args.delta, boundary)
     (count,) = window_counts(spec, args.n, kind, [query], cap=args.cap)
-    try:
-        text = str(count)
-    except ValueError:  # CPython's int-to-str digit limit
-        raise ResourceCapError(
-            f"the count has more digits than Python's limit of {sys.get_int_max_str_digits()}"
-            " for printing an integer; set PYTHONINTMAXSTRDIGITS=0 to print it"
-        ) from None
-    print(text)
+    print(_decimal(count, "count"))
     return 0
 
 

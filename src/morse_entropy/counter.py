@@ -5,9 +5,9 @@ puts every achievable mean on the grid s / (n*D), s = 0 .. n*D.  The
 number of n-tuples of critical points at each grid value is an integer,
 the coefficient of x**s in the n-th power of the single-site histogram.
 One power comes from J.C.P. Miller's recurrence, streamed one
-coefficient at a time, each needing only the D or fewer before it.
+coefficient at a time, each needing only the D before it.
 :func:`window_counts` sums the stream from the grid end nearer its
-windows, stops at the farthest window edge and holds those D or fewer
+windows, stops at the farthest window edge and holds those D
 coefficients plus one prefix sum per window edge, never the n*D + 1 of
 the whole grid; :func:`mean_distribution` keeps every coefficient.
 Counts stay Python integers throughout; the only float in this module
@@ -110,8 +110,13 @@ def _check_cap(spec: CriticalSpectrum, n: int, cap: Optional[int]) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     limit = DEFAULT_CAP if cap is None else cap
-    if n * spec.denom > limit:
-        raise ResourceCapError(f"sum grid n*denom = {n * spec.denom} exceeds cap {limit}")
+    grid = n * spec.denom
+    if grid > limit:
+        try:
+            shown = str(grid)
+        except ValueError:  # past CPython's digit limit for int-to-str
+            shown = f"a {grid.bit_length()}-bit integer"
+        raise ResourceCapError(f"sum grid n*denom = {shown} exceeds cap {limit}")
 
 
 def _site_histogram(spec: CriticalSpectrum, kind: Kind) -> Tuple[int, ...]:
@@ -126,27 +131,20 @@ def _site_histogram(spec: CriticalSpectrum, kind: Kind) -> Tuple[int, ...]:
 def _miller(site: Tuple[int, ...], n: int) -> Iterator[int]:
     """The coefficients of P(x)**n, lowest first, P given by its coefficients ``site``.
 
-    J.C.P. Miller's recurrence: with P = x**low * Q, q_0 = Q(0) != 0 and
-    ``span`` the degree of Q (the distance from the lowest nonzero
-    coefficient of ``site`` to the highest, at most len(site) - 1), the
-    coefficients of Q**n satisfy
+    J.C.P. Miller's recurrence: with q_0 = ``site[0]`` != 0 and ``span`` =
+    len(site) - 1, the coefficients of P**n satisfy
     k * q_0 * a_k = sum_j ((n + 1) * j - k) * q_j * a_(k-j),
     an exact division, summed over the nonzero q_j only, so a_k reads only
     the ``span`` coefficients before it.  Each term keeps (n + 1) * j * q_j.
     Those ``span`` coefficients are all the generator holds: ``before``
     starts as ``span`` zeros, which stand for the a_(k-j) with j > k, and
-    drops its oldest as each a_k joins.  A site with one nonzero
-    coefficient has span 0: its power is the one term q_0**n, and
-    ``before`` is never read.
+    drops its oldest as each a_k joins.  The site of a spectrum, and its
+    reverse, start with the weight of an extreme atom, which is never 0.
+    A one-coefficient site has span 0: its power is the one term q_0**n,
+    and ``before`` is never read.
     """
-    nonzero = [j for j, w in enumerate(site) if w]
-    if not nonzero:
-        yield from repeat(0, n * (len(site) - 1) + 1)
-        return
-    low, q0 = nonzero[0], site[nonzero[0]]
-    span = nonzero[-1] - low
-    terms = [(low - j, (n + 1) * (j - low) * site[j], site[j]) for j in nonzero[1:]]
-    yield from repeat(0, n * low)
+    q0, span = site[0], len(site) - 1
+    terms = [(-j, (n + 1) * j * q, q) for j, q in enumerate(site) if j and q]
     before = deque(repeat(0, span), maxlen=span)
     a_k = q0 ** n
     yield a_k
@@ -157,7 +155,6 @@ def _miller(site: Tuple[int, ...], n: int) -> Iterator[int]:
             total += (nq - k * q) * before[back]
         a_k = total // (k * q0)
         yield a_k
-    yield from repeat(0, n * (len(site) - 1 - nonzero[-1]))
 
 
 def mean_distribution(
@@ -196,10 +193,9 @@ def window_counts(
     nearer the windows (from the top on the reversed site, whose n-th
     power holds the coefficients in reverse order) and is summed between
     the sorted window edges, up to the farthest one.  So this holds the
-    ``span`` <= denom coefficients the recurrence reads (``span`` being the
-    distance between the lowest and highest nonzero offsets of the site
-    histogram) plus one prefix sum per window edge.  ``n`` and the cap are
-    checked as in :func:`mean_distribution`, before any work.
+    denom coefficients the recurrence reads plus one prefix sum per window
+    edge.  ``n`` and the cap are checked as in :func:`mean_distribution`,
+    before any work.
     """
     _check_cap(spec, n, cap)
     site = _site_histogram(spec, kind)

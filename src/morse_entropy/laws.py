@@ -8,15 +8,11 @@ blended windows when tuples concatenate; per-site log counts at a fixed
 window converge to the concave rate curve; and the curves respect their
 analytic bounds with the homology curve peaking at the total homology
 dimension.  The first three rest on one premise about the atoms, which
-validation ensures: 0 <= betti_weight <= multiplicity, and atoms at 0
-and 1 with betti_weight >= 1.  Each of them validates the atoms again
-first, so atoms that break the premise raise validation's
-:class:`~.spectrum.SpectrumError` (a ``ValueError``), tagged with the
-broken invariant.  On the premise, domination, superadditivity and
-Fekete's unit floor are certificates read off the atoms; the one exact
-count is Fekete's, at its largest n, and it sizes and counts the
-spectrum validation returns, whatever ``denom`` the caller's spectrum
-held.  The cap bounds that count and nothing else.
+every :class:`~.spectrum.CriticalSpectrum` meets by construction:
+0 <= betti_weight <= multiplicity, and atoms at 0 and 1 with
+betti_weight >= 1.  So domination, superadditivity and Fekete's unit
+floor are certificates read off the atoms; the one exact count is
+Fekete's, at its largest n.  The cap bounds that count and nothing else.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .counter import Kind, WindowQuery, finite_rate, window_counts
 from .rate import betti_curve, epsilon_curve, maxent_rate, MaxEntProblem, window_sup_rate
-from .spectrum import CriticalSpectrum, entry_multiset, validate_spectrum
+from .spectrum import CriticalSpectrum, entry_multiset
 
 
 class Violation(NamedTuple):
@@ -63,8 +59,7 @@ def check_domination(
     The homology side is counted half-open, the critical side closed, so
     the comparison is exactly the one the downstream rate inequality
     rests on; the ``boundary`` field of the supplied windows is ignored.
-    ``n_max`` must be at least 1, ``windows`` nonempty, and the atoms must
-    meet the premise (see the module docstring).  The law is then a
+    ``n_max`` must be at least 1 and ``windows`` nonempty.  The law is a
     certificate, one instance per (n, window): 0 <= betti_weight <=
     multiplicity makes the homology site histogram at most the critical
     one in every coefficient, n-th powers of nonnegative polynomials keep
@@ -75,7 +70,6 @@ def check_domination(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not windows:
         raise ValueError("need at least one window")
-    validate_spectrum(spec.atoms)
     return LawReport("betti_dominated_by_critical", n_max * len(windows), ())
 
 
@@ -98,8 +92,7 @@ def check_superadditivity(
     The five draw arguments are one draw, or tuples or lists of equal
     length holding one draw per index; the report has one instance per
     draw and kind.  Each draw's (c1, delta) and (c2, delta) windows must
-    be valid :class:`~.counter.WindowQuery` windows, and the atoms must
-    meet the premise (see the module docstring).  The law is then a
+    be valid :class:`~.counter.WindowQuery` windows.  The law is a
     certificate: with no weight below 0, concatenation maps pairs of part
     tuples injectively into the whole window and multiplies their
     weights.  Nothing is counted, so no cap applies.
@@ -115,7 +108,6 @@ def check_superadditivity(
         raise ValueError("need at least one draw")
     if any(a < 1 or b < 1 for a, b, *_ in draws):
         raise ValueError("n1 and n2 must be >= 1")
-    validate_spectrum(spec.atoms)
     return LawReport("window_count_superadditivity", 2 * len(draws), ())
 
 
@@ -144,9 +136,9 @@ def check_fekete(
     3*log(n_max * D * B) / n_max of the concave rate supremum over the
     window).  Requires at least one centre, valid
     :class:`~.counter.WindowQuery` windows, n_max >= ceil(2/delta) + 4 so
-    the tail past the unit floor is non-trivial, atoms that meet the
-    premise (see the module docstring), and n_max within the cap, in that
-    order; the cap is checked by :func:`window_counts`, before it counts.
+    the tail past the unit floor is non-trivial, and n_max within the cap,
+    in that order; the cap is checked by :func:`window_counts`, before it
+    counts.
 
     The first two sub-checks are certificates.  ``superadditive_pairs``
     holds by the argument of :func:`check_superadditivity`.
@@ -167,7 +159,6 @@ def check_fekete(
         raise ValueError(
             f"n_max {n_max} too small: need at least ceil(2/delta) + 4 = {math.ceil(threshold) + 4}"
         )
-    spec = validate_spectrum(spec.atoms)
     n_floor = math.floor(threshold) + 1  # smallest n with n > 2/delta
 
     ns = {n_floor + off for off in _PAIR_OFFSETS if n_floor + off <= n_max - n_floor}

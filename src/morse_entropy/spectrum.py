@@ -16,7 +16,8 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Tuple, Union
+from itertools import pairwise
+from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 RawAtom = Tuple[Union[int, str, Fraction], int, int]
 
@@ -73,25 +74,78 @@ class _ValidatedRecord:
         return cls(*iterable)
 
 
-class SpectrumAtom(NamedTuple):
-    """One critical value with its point count and homology count."""
+def _check_count(raw_value: object, what: str, minimum: int, tag: str) -> None:
+    if isinstance(raw_value, bool) or not isinstance(raw_value, int):
+        raise SpectrumError(tag, f"{what} must be an integer, got {raw_value!r}")
+    if raw_value < minimum:
+        raise SpectrumError(tag, f"{what} must be >= {minimum}, got {raw_value}")
 
-    value: Fraction
-    multiplicity: int
-    betti_weight: int
+
+def _lcm(numbers: Sequence[int]) -> int:
+    """Least common multiple up a balanced tree; ``math.lcm(*numbers)`` folds left, in quadratic time."""
+    while len(numbers) > 1:
+        numbers = [math.lcm(*numbers[i : i + 2]) for i in range(0, len(numbers), 2)]
+    return numbers[0] if numbers else 1
 
 
-class CriticalSpectrum(NamedTuple):
-    """Sorted atoms plus the least common denominator of their values.
+class SpectrumAtom(
+    _ValidatedRecord,
+    NamedTuple("SpectrumAtom", [("value", Fraction), ("multiplicity", int), ("betti_weight", int)])
+):
+    """One critical value with its point count and homology count.
 
-    Instances are meant to come out of :func:`validate_spectrum` or
-    :func:`preset`; constructing one directly checks nothing, so tests
-    can build deliberately broken spectra and watch the law checks
-    object.
+    ``value`` is read by :func:`as_rational` and lies in [0, 1];
+    ``multiplicity`` >= 1 and 0 <= ``betti_weight`` <= ``multiplicity``.
     """
 
-    atoms: Tuple[SpectrumAtom, ...]
-    denom: int
+    __slots__ = ()
+
+    def __new__(cls, value: Union[int, str, Fraction], multiplicity: int, betti_weight: int):
+        try:
+            value = as_rational(value)
+        except ValueError as exc:
+            raise SpectrumError("value_not_rational", str(exc)) from exc
+        if not 0 <= value <= 1:
+            raise SpectrumError("value_out_of_range", f"critical value {value} outside [0, 1]")
+        _check_count(multiplicity, f"multiplicity at value {value}", 1, "multiplicity_invalid")
+        _check_count(betti_weight, f"betti_weight at value {value}", 0, "betti_weight_invalid")
+        if betti_weight > multiplicity:
+            message = f"betti_weight {betti_weight} > multiplicity {multiplicity} at value {value}"
+            raise SpectrumError("betti_weight_exceeds_multiplicity", message)
+        return super().__new__(cls, value, multiplicity, betti_weight)
+
+
+class CriticalSpectrum(
+    _ValidatedRecord,
+    NamedTuple("CriticalSpectrum", [("atoms", Tuple[SpectrumAtom, ...]), ("denom", int)])
+):
+    """The atoms of a surjective Morse function onto [0, 1], and a grid 1/denom for their values.
+
+    Atom values strictly increase from 0 to 1, the atoms at both extremes
+    have ``betti_weight`` >= 1, and ``denom`` is a positive multiple of
+    every value's denominator (:func:`validate_spectrum` gives their lcm).
+    Each rule raises a tagged :class:`SpectrumError`, so every spectrum meets them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, atoms: Tuple[SpectrumAtom, ...], denom: int):
+        if not atoms:
+            raise SpectrumError("empty_spectrum", "a spectrum needs at least its two extreme values")
+        if any(a.value >= b.value for a, b in pairwise(atoms)):
+            raise SpectrumError("values_not_increasing", "atom values must strictly increase")
+        if atoms[0].value != 0:
+            raise SpectrumError("missing_minimum", "no atom at value 0")
+        if atoms[-1].value != 1:
+            raise SpectrumError("missing_maximum", "no atom at value 1")
+        for atom in (atoms[0], atoms[-1]):
+            if atom.betti_weight < 1:
+                message = f"betti_weight at extreme value {atom.value} must be >= 1"
+                raise SpectrumError("extreme_betti_weight_zero", message)
+        lcm = _lcm([a.value.denominator for a in atoms])
+        if isinstance(denom, bool) or not isinstance(denom, int) or denom < 1 or denom % lcm:
+            raise SpectrumError("denom_invalid", f"denom must be a positive multiple of {lcm}, got {denom!r}")
+        return super().__new__(cls, atoms, denom)
 
     @property
     def p(self) -> int:
@@ -110,66 +164,23 @@ class CriticalSpectrum(NamedTuple):
         return tuple(a.multiplicity for a in self.atoms)
 
 
-def _check_count(raw_value: object, what: str, minimum: int, tag: str) -> int:
-    if isinstance(raw_value, bool) or not isinstance(raw_value, int):
-        raise SpectrumError(tag, f"{what} must be an integer, got {raw_value!r}")
-    if raw_value < minimum:
-        raise SpectrumError(tag, f"{what} must be >= {minimum}, got {raw_value}")
-    return raw_value
-
-
 def validate_spectrum(raw: Iterable[RawAtom]) -> CriticalSpectrum:
-    """Normalise raw ``(value, multiplicity, betti_weight)`` triples.
+    """The spectrum of raw ``(value, multiplicity, betti_weight)`` triples.
 
-    Entries sharing a value are merged by summing both counts, then the
-    result is sorted and checked: values inside [0, 1] with both ends
-    present, multiplicities positive, betti weights within multiplicity
-    and nonzero at the extremes.  Validation is idempotent: feeding the
-    atoms of a valid spectrum back in reproduces it exactly.
+    Each triple is read as a :class:`SpectrumAtom`, triples sharing a value
+    merge by summing both counts, and ``denom`` is the lcm of the value
+    denominators.  Feeding back the atoms of a spectrum rebuilds it exactly.
     """
-    entries = list(raw)
-    if not entries:
-        raise SpectrumError("empty_spectrum", "a spectrum needs at least its two extreme values")
-
     merged: dict = {}
-    for entry in entries:
+    for entry in raw:
         try:
-            value_raw, mult_raw, betti_raw = entry
-        except (TypeError, ValueError) as exc:
+            atom = SpectrumAtom(*entry)
+        except TypeError as exc:  # not three fields
             raise SpectrumError("malformed_entry", f"expected (value, multiplicity, betti_weight), got {entry!r}") from exc
-        try:
-            value = as_rational(value_raw)
-        except ValueError as exc:
-            raise SpectrumError("value_not_rational", str(exc)) from exc
-        if not 0 <= value <= 1:
-            raise SpectrumError("value_out_of_range", f"critical value {value} outside [0, 1]")
-        mult = _check_count(mult_raw, f"multiplicity at value {value}", 1, "multiplicity_invalid")
-        betti = _check_count(betti_raw, f"betti_weight at value {value}", 0, "betti_weight_invalid")
-        if betti > mult:
-            raise SpectrumError(
-                "betti_weight_exceeds_multiplicity",
-                f"betti_weight {betti} > multiplicity {mult} at value {value}",
-            )
-        old_m, old_b = merged.get(value, (0, 0))
-        merged[value] = (old_m + mult, old_b + betti)
-
-    atoms = tuple(
-        SpectrumAtom(value=v, multiplicity=m, betti_weight=b)
-        for v, (m, b) in sorted(merged.items())
-    )
-    if atoms[0].value != 0:
-        raise SpectrumError("missing_minimum", "no atom at value 0")
-    if atoms[-1].value != 1:
-        raise SpectrumError("missing_maximum", "no atom at value 1")
-    for atom in (atoms[0], atoms[-1]):
-        if atom.betti_weight < 1:
-            raise SpectrumError(
-                "extreme_betti_weight_zero",
-                f"betti_weight at extreme value {atom.value} must be >= 1",
-            )
-
-    denom = math.lcm(*(a.value.denominator for a in atoms))
-    return CriticalSpectrum(atoms=atoms, denom=denom)
+        old_m, old_b = merged.get(atom.value, (0, 0))
+        merged[atom.value] = (old_m + atom.multiplicity, old_b + atom.betti_weight)
+    atoms = tuple(SpectrumAtom(v, m, b) for v, (m, b) in sorted(merged.items()))
+    return CriticalSpectrum(atoms, _lcm([a.value.denominator for a in atoms]))
 
 
 # Height functions on the model surfaces, rescaled to [0, 1].  The circle

@@ -164,10 +164,7 @@ def legendre_epsilon(spec: CriticalSpectrum, c: Union[Fraction, float]) -> float
     short-circuit to log(multiplicity there); targets outside the value
     hull raise ValueError.
     """
-    atoms = spec.atoms
-    # spec.denom of a valid spectrum, taken from the atoms so a spectrum
-    # built without validation cannot misplace them
-    denom = math.lcm(*[a.value.denominator for a in atoms])
+    atoms, denom = spec.atoms, spec.denom
     try:
         num, den = c.as_integer_ratio()
     except (ValueError, OverflowError):  # nan or an infinite float

@@ -7,9 +7,10 @@ simplex.  Slow on purpose, trustworthy on purpose.  The law oracles
 instead count every instance with the rolling convolution sweep
 :func:`_sweep`, whatever the atoms: :func:`full_sweep_check_fekete`,
 :func:`swept_check_domination` and :func:`swept_check_superadditivity`
-keep counting the hand-built spectra that the package's certificates
-refuse.  The rest are helpers only the tests call: seeded spectra,
-report merging and a concavity scan.
+keep counting the spectra that break the certificates' premise, which
+no :class:`CriticalSpectrum` can hold and :func:`unvalidated_spectrum`
+builds past its checks.  The rest are helpers only the tests call:
+seeded spectra, report merging and a concavity scan.
 """
 
 import itertools
@@ -19,8 +20,10 @@ from fractions import Fraction
 from operator import add, mul
 
 from morse_entropy import (
+    CriticalSpectrum,
     Kind,
     LawReport,
+    SpectrumAtom,
     Violation,
     WindowQuery,
     entry_multiset,
@@ -273,6 +276,19 @@ def merge_reports(*reports):
         instances_checked=sum(r.instances_checked for r in reports),
         violations=tuple(v for r in reports for v in r.violations),
     )
+
+
+def unvalidated_spectrum(*entries):
+    """A spectrum of ``(value, multiplicity, betti_weight)`` entries that nothing checks.
+
+    Atoms and spectrum are built by ``tuple.__new__``, past the records'
+    ``__new__``, with ``denom`` the lcm of the value denominators: the
+    negative controls of the law oracles, which break the premise that
+    every valid spectrum meets.
+    """
+    atoms = tuple(tuple.__new__(SpectrumAtom, (Fraction(v), m, b)) for v, m, b in entries)
+    denom = math.lcm(*(a.value.denominator for a in atoms))
+    return tuple.__new__(CriticalSpectrum, (atoms, denom))
 
 
 def random_spectrum(rng: random.Random):

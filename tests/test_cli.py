@@ -426,6 +426,58 @@ def test_count_too_long_to_print_exits_four(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+# Three coprime denominators of 1501 digits each: denom has 4501 digits,
+# past CPython's default limit of 4300 for printing an integer.
+HUGE_DENOM_RECORDS = [
+    {"value": "0", "multiplicity": 1, "betti_weight": 1},
+    *({"value": f"1/{10**1500 + k}", "multiplicity": 1, "betti_weight": 1} for k in (7, 3, 1)),
+    {"value": "1", "multiplicity": 1, "betti_weight": 1},
+]
+
+
+@pytest.fixture
+def huge_denom_file(tmp_path):
+    path = tmp_path / "huge_denom.json"
+    path.write_text(json.dumps(HUGE_DENOM_RECORDS), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield str(path)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int-to-str digit limit"
+)
+def test_a_cap_refusal_past_the_digit_limit_names_the_cap(capsys, huge_denom_file):
+    source = ["--spectrum-file", huge_denom_file]
+    for args in (
+        ["count", *source, "--n", "1", "--c", "1/2", "--delta", "1/2"],
+        ["verify", *source, "--suite", "fekete"],
+    ):
+        assert run(args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: sum grid n\*denom = a \d+-bit integer exceeds cap 16384\n", captured.err)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int-to-str digit limit"
+)
+def test_spectrum_validate_past_the_digit_limit_names_denom(capsys, huge_denom_file):
+    assert run(["spectrum", "validate", "--spectrum-file", huge_denom_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the denom has more digits than Python's limit of 4300")
+    assert "PYTHONINTMAXSTRDIGITS=0" in captured.err
+    proc = _module_run("spectrum", "validate", "--spectrum-file", huge_denom_file, PYTHONINTMAXSTRDIGITS="0")
+    assert proc.returncode == 0, proc.stderr
+    denom = (10**1500 + 1) * (10**1500 + 3) * (10**1500 + 7)
+    sys.set_int_max_str_digits(0)
+    assert proc.stdout.splitlines()[0] == f"ok atoms=5 p=5 B=5 denom={denom}"
+
+
 # Every int option of the CLI, with what bounds the work it asks for.
 # An option missing here fails test_every_int_option_is_bounded; the
 # curve grid limit is tested by test_curve_grid_validation.

@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 from morse_entropy import (
     DEFAULT_CAP,
     Boundary,
-    CriticalSpectrum,
     Kind,
     MeanDistribution,
     ResourceCapError,
-    SpectrumAtom,
     WindowQuery,
     check_fekete,
     count_window,
@@ -214,31 +212,6 @@ def test_recurrence_sweep_and_enumeration_agree_on_random_spectra(seed, kind):
     _assert_three_way(random_spectrum(random.Random(seed)), kind, 4)
 
 
-def test_recurrence_sweep_and_enumeration_agree_on_zero_edge_weights():
-    # validation bypassed on purpose: zero betti weight at value 0 (the site
-    # polynomial has p_0 = 0) and at value 1 (trailing zero coefficients)
-    bypassed = CriticalSpectrum(
-        atoms=(
-            SpectrumAtom(Fraction(0), 1, 0),
-            SpectrumAtom(Fraction(1, 3), 2, 1),
-            SpectrumAtom(Fraction(1, 2), 3, 2),
-            SpectrumAtom(Fraction(1), 1, 0),
-        ),
-        denom=6,
-    )
-    for kind in Kind:
-        _assert_three_way(bypassed, kind, 5)
-    assert mean_distribution(bypassed, 2, Kind.BETTI).counts == (
-        0, 0, 0, 0, 1, 4, 4, 0, 0, 0, 0, 0, 0,
-    )
-    # no atom carries betti weight: every count is zero
-    silent = CriticalSpectrum(
-        atoms=(SpectrumAtom(Fraction(0), 1, 0), SpectrumAtom(Fraction(1), 1, 0)),
-        denom=1,
-    )
-    _assert_three_way(silent, Kind.BETTI, 3)
-
-
 def _assert_power_matches_sweep(site, n_max):
     counts = (1,)
     for n in range(1, n_max + 1):
@@ -247,17 +220,18 @@ def _assert_power_matches_sweep(site, n_max):
 
 
 def test_miller_power_matches_the_convolution_sweep():
-    # q0 = 3 at offset 1 and the next nonzero offset is 4, so for k < 3 the
-    # sum reads only the zeros ahead of a_0
-    _assert_power_matches_sweep((0, 3, 0, 0, 2, 0, 5, 1), 40)
-    # span 0: one nonzero coefficient, inside the site or at its ends, and
-    # no nonzero coefficient at all
-    for site in ((0, 0, 7, 0), (5,), (2, 0, 0), (0, 0, 1), (0, 0, 0), (0,)):
+    # the next nonzero offset after q0 = 3 is 3, so for k < 3 the sum reads
+    # only the zeros ahead of a_0
+    _assert_power_matches_sweep((3, 0, 0, 2, 0, 5, 1), 40)
+    # span 0, and a site whose only nonzero coefficient is q0
+    for site in ((5,), (2, 0, 0)):
         _assert_power_matches_sweep(site, 40)
     for seed in range(6):
         spec = random_spectrum(random.Random(seed))
         for kind in Kind:
-            _assert_power_matches_sweep(_site_histogram(spec, kind), 40)
+            site = _site_histogram(spec, kind)
+            _assert_power_matches_sweep(site, 40)
+            _assert_power_matches_sweep(site[::-1], 40)
 
 
 def test_closed_forms_at_the_default_cap():
@@ -347,27 +321,6 @@ def test_window_range_equals_the_rational_formula():
     assert checked > 4000
 
 
-# weight -1 at 1/2: coefficients of either sign (validation bypassed)
-SIGNED = CriticalSpectrum(
-    atoms=(
-        SpectrumAtom(Fraction(0), 1, 1),
-        SpectrumAtom(Fraction(1, 2), -1, -1),
-        SpectrumAtom(Fraction(1), 1, 1),
-    ),
-    denom=2,
-)
-# zero weight at both edges for BETTI: the site has leading and trailing zeros
-ZERO_EDGES = CriticalSpectrum(
-    atoms=(
-        SpectrumAtom(Fraction(0), 1, 0),
-        SpectrumAtom(Fraction(1, 3), 2, 1),
-        SpectrumAtom(Fraction(1, 2), 3, 2),
-        SpectrumAtom(Fraction(1), 1, 0),
-    ),
-    denom=6,
-)
-
-
 def _probe_queries(rng, count):
     """Windows of every width in both conventions, some past the grid, some empty."""
     queries = []
@@ -389,7 +342,7 @@ def _assert_window_counts_match(spec, n, kind, queries):
 
 def test_window_counts_equal_counts_of_the_full_distribution():
     rng = random.Random(3)
-    spectra = [CIRCLE, TORUS, SIGNED, ZERO_EDGES]
+    spectra = [CIRCLE, TORUS]
     spectra += [random_spectrum(random.Random(seed)) for seed in range(12)]
     for spec in spectra:
         for kind in Kind:
@@ -402,12 +355,6 @@ def test_window_counts_equal_counts_of_the_full_distribution():
     top = WindowQuery(Fraction(1), Fraction(1, 4))
     assert window_counts(CIRCLE, 2, Kind.CRITICAL, [gap, top]) == (0, 1)
     assert window_counts(CIRCLE, 2, Kind.CRITICAL, []) == ()
-    # no atom carries betti weight: every count is zero
-    silent = CriticalSpectrum(
-        atoms=(SpectrumAtom(Fraction(0), 1, 0), SpectrumAtom(Fraction(1), 1, 0)),
-        denom=1,
-    )
-    assert window_counts(silent, 3, Kind.BETTI, [WindowQuery(Fraction(1, 2), Fraction(1))]) == (0,)
 
 
 @settings(max_examples=25, deadline=None)
@@ -434,9 +381,10 @@ def test_window_counts_run_from_the_nearer_grid_end(monkeypatch):
     for queries, route in (([low], site), ([high], site[::-1]), ([low, high], site)):
         _assert_window_counts_match(spec, 300, Kind.CRITICAL, queries)
         assert sites[-1] == route
-    # the top route on a site with zero weight at both ends
-    _assert_window_counts_match(ZERO_EDGES, 50, Kind.BETTI, [high])
-    assert sites[-1] == _site_histogram(ZERO_EDGES, Kind.BETTI)[::-1]
+    # the top route on a BETTI site with zero weight next to both ends
+    spec = validate_spectrum([(0, 1, 1), (Fraction(1, 6), 2, 0), (Fraction(5, 6), 3, 0), (1, 2, 2)])
+    _assert_window_counts_match(spec, 50, Kind.BETTI, [high])
+    assert sites[-1] == _site_histogram(spec, Kind.BETTI)[::-1] == (2, 0, 0, 0, 0, 0, 1)
 
 
 def test_window_counts_check_n_and_the_cap_before_any_work(monkeypatch):
@@ -496,16 +444,12 @@ def test_mean_distribution_structure_checks():
 
 
 def test_distributions_for_invalid_bypassed_spectra_still_count():
-    # validation bypassed on purpose: betti exceeds multiplicity
-    broken = CriticalSpectrum(
-        atoms=(
-            SpectrumAtom(Fraction(0), 1, 1),
-            SpectrumAtom(Fraction(1, 2), 1, 3),
-            SpectrumAtom(Fraction(1), 1, 1),
-        ),
-        denom=2,
-    )
-    betti = mean_distribution(broken, 1, Kind.BETTI)
-    crit = mean_distribution(broken, 1, Kind.CRITICAL)
-    assert betti.counts == (1, 3, 1)
-    assert crit.counts == (1, 1, 1)
+    # No spectrum holds these weights, but Miller's recurrence counts their
+    # sites all the same: betti weight 3 above multiplicity 1 at 1/2, and a
+    # weight of -1 there, whose powers have coefficients of either sign.
+    # The division stays exact for signed coefficients since q0 != 0.
+    assert tuple(_miller((1, 3, 1), 1)) == (1, 3, 1)
+    assert tuple(_miller((1, 3, 1), 2)) == (1, 6, 11, 6, 1)
+    for site in ((1, 3, 1), (1, -1, 1), (-2, 0, 3, -1)):
+        _assert_power_matches_sweep(site, 40)
+        _assert_power_matches_sweep(site[::-1], 40)

@@ -37,24 +37,33 @@ from _oracles import (
     random_spectrum,
     swept_check_domination,
     swept_check_superadditivity,
+    unvalidated_spectrum,
 )
 
 CIRCLE = preset("circle")
 TORUS = preset("torus")
 
 
-def bypassed(*entries):
-    """Build a spectrum without validation, for negative controls."""
-    atoms = tuple(
-        SpectrumAtom(Fraction(v), m, b) for v, m, b in entries
-    )
-    denom = math.lcm(*(a.value.denominator for a in atoms))
-    return CriticalSpectrum(atoms=atoms, denom=denom)
+def built(*entries):
+    """The spectrum :func:`unvalidated_spectrum` builds, through the validating constructors."""
+    atoms = tuple(SpectrumAtom(*entry) for entry in entries)
+    return CriticalSpectrum(atoms, math.lcm(*(a.value.denominator for a in atoms)))
 
 
-# extremes carry betti weight 0 (validation would refuse); every homology
-# tuple then has mean 1/2, so a window at 0 stays empty
-BROKEN = bypassed((0, 1, 0), (Fraction(1, 2), 1, 1), (1, 1, 0))
+def refused(entries, message):
+    """Building ``entries`` raises the SpectrumError ``message`` matches; returns its tag."""
+    with pytest.raises(SpectrumError, match=message) as raised:
+        built(*entries)
+    return raised.value.violation
+
+
+# extremes carry betti weight 0 (no spectrum can); every homology tuple
+# then has mean 1/2, so a window at 0 stays empty
+BROKEN_ENTRIES = ((0, 1, 0), (Fraction(1, 2), 1, 1), (1, 1, 0))
+BROKEN = unvalidated_spectrum(*BROKEN_ENTRIES)
+# betti weight 5 above multiplicity 1 at 1/2
+HEAVY_ENTRIES = ((0, 1, 1), (Fraction(1, 2), 1, 5), (1, 1, 1))
+HEAVY = unvalidated_spectrum(*HEAVY_ENTRIES)
 
 
 def test_domination_on_presets():
@@ -90,16 +99,16 @@ def test_domination_counts_a_negative_betti_weight():
     # betti <= multiplicity holds at every atom, but the weight -3 at 1/2
     # makes the homology count at n = 2 the coefficient 11 of
     # (1 - 3x + x**2)**2 against 3 of (1 + x + x**2)**2: the oracle counts
-    # it, and the certificate's premise refuses the spectrum
-    spec = bypassed((0, 1, 1), (Fraction(1, 2), 1, -3), (1, 1, 1))
+    # it, and no spectrum can hold the weight that breaks the premise
+    entries = ((0, 1, 1), (Fraction(1, 2), 1, -3), (1, 1, 1))
+    spec = unvalidated_spectrum(*entries)
     window = [WindowQuery(Fraction(1, 2), Fraction(1, 8))]
     report = swept_check_domination(spec, 2, window)
     assert report.instances_checked == 2
     assert report.violations == (
         Violation((("n", "2"), ("c", "1/2"), ("delta", "1/8")), 11, 3),
     )
-    with pytest.raises(ValueError, match="betti_weight at value 1/2 must be >= 0, got -3"):
-        check_domination(spec, 2, window)
+    assert refused(entries, "betti_weight at value 1/2 must be >= 0, got -3") == "betti_weight_invalid"
 
 
 def test_domination_reads_no_cap(monkeypatch):
@@ -110,8 +119,7 @@ def test_domination_reads_no_cap(monkeypatch):
     assert check_domination(CIRCLE, 10**12, window) == LawReport(
         "betti_dominated_by_critical", 10**12, ()
     )
-    with pytest.raises(ValueError, match="betti_weight 5 > multiplicity 1"):
-        check_domination(bypassed((0, 1, 1), (Fraction(1, 2), 1, 5), (1, 1, 1)), 6, window)
+    assert refused(HEAVY_ENTRIES, "betti_weight 5 > multiplicity 1") == "betti_weight_exceeds_multiplicity"
 
 
 def test_domination_is_strict_when_multiplicity_exceeds_betti():
@@ -126,19 +134,16 @@ def test_domination_is_strict_when_multiplicity_exceeds_betti():
 
 
 def test_domination_catches_a_bypassed_spectrum():
-    # betti weight above multiplicity cannot survive validation, so build
-    # the broken spectrum directly: the oracle counts the failure, and the
-    # check refuses the atoms
-    broken = bypassed((0, 1, 1), (Fraction(1, 2), 1, 5), (1, 1, 1))
+    # betti weight above multiplicity cannot survive construction, so build
+    # the broken spectrum past it: the oracle counts the failure
     window = [WindowQuery(Fraction(1, 2), Fraction(1, 2))]
-    report = swept_check_domination(broken, 2, window)
+    report = swept_check_domination(HEAVY, 2, window)
     assert not report.passed
     assert report.instances_checked == 2
     first = report.violations[0]
     assert first.lhs == 6 and first.rhs == 3
     assert dict(first.inputs)["n"] == "1"
-    with pytest.raises(ValueError, match="betti_weight 5 > multiplicity 1 at value 1/2"):
-        check_domination(broken, 2, window)
+    refused(HEAVY_ENTRIES, "betti_weight 5 > multiplicity 1 at value 1/2")
 
 
 def test_domination_needs_a_step_and_a_window():
@@ -167,23 +172,20 @@ def _domination_by_window_counts(spec, n_max, windows):
 
 
 def test_domination_prefix_sums_equal_window_counts():
-    # the certificate on validated spectra, the swept oracle on bypassed
-    # ones, each against counts of the full distribution
+    # the certificate on valid spectra, the swept oracle on HEAVY, which
+    # no spectrum can hold, each against counts of the full distribution
     rng = random.Random(8)
-    bypassed_spectra = [BROKEN, bypassed((0, 1, 1), (Fraction(1, 2), 1, 5), (1, 1, 1))]
-    spectra = [CIRCLE, TORUS, *bypassed_spectra] + [random_spectrum(rng) for _ in range(6)]
+    spectra = [CIRCLE, TORUS, HEAVY] + [random_spectrum(rng) for _ in range(6)]
     failed = 0
     for spec in spectra:
         windows = random_windows(rng, 12)
-        if spec in bypassed_spectra:
+        if spec is HEAVY:
             report = swept_check_domination(spec, 7, windows, cap=1 << 20)
-            with pytest.raises(ValueError):
-                check_domination(spec, 7, windows)
         else:
             report = check_domination(spec, 7, windows)
         assert report == _domination_by_window_counts(spec, 7, windows)
         failed += not report.passed
-    assert failed  # a bypassed spectrum: violations and their order are compared too
+    assert failed  # HEAVY: violations and their order are compared too
 
 
 def test_superadditivity_on_presets():
@@ -237,8 +239,7 @@ def test_superadditivity_input_validation():
     ids=["negative_delta", "zero_delta", "c1_above_1", "float_draw"],
 )
 def test_superadditivity_refuses_a_window_that_does_not_exist(monkeypatch, draw, message):
-    # WindowQuery validates each draw's part windows, before the premise:
-    # BROKEN would fail it.
+    # WindowQuery validates each draw's part windows, whatever the atoms
     monkeypatch.setattr(counter, "_miller", None)  # any count would raise TypeError
     good = (1, 1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 10))
     for spec in (TORUS, BROKEN):
@@ -257,18 +258,25 @@ def test_fekete_on_presets():
             assert report.instances_checked > 40
 
 
-def test_law_checks_size_and_count_the_spectrum_they_validated():
-    # Torus atoms under a wrong denom of 3: validation restores denom 2, and
-    # the checks count and size with that, so each reads as the torus does.
-    odd = CriticalSpectrum(atoms=TORUS.atoms, denom=3)
+def test_law_checks_read_the_torus_under_any_common_denom():
+    # A denom of 3 misplaces the torus atom at 1/2 (it counted 18998 where
+    # the torus gives 24310), so it does not build; a multiple of 2 places
+    # every atom, and the checks read the same under it.
+    for build in (lambda: CriticalSpectrum(TORUS.atoms, 3), lambda: TORUS._replace(denom=3)):
+        with pytest.raises(SpectrumError, match="denom must be a positive multiple of 2, got 3") as raised:
+            build()
+        assert raised.value.violation == "denom_invalid"
+    wide = TORUS._replace(denom=6)
     centres, delta = (Fraction(1, 2), Fraction(1, 4)), Fraction(1, 10)
-    assert check_fekete(odd, centres, delta, 2000, cap=100000) == check_fekete(
+    assert check_fekete(wide, centres, delta, 2000, cap=100000) == check_fekete(
         TORUS, centres, delta, 2000, cap=100000
     )
     windows = [WindowQuery(Fraction(1, 2), Fraction(1, 4))]
-    assert check_domination(odd, 8, windows) == check_domination(TORUS, 8, windows)
+    assert check_domination(wide, 8, windows) == check_domination(TORUS, 8, windows)
     draw = (3, 5, Fraction(1, 4), Fraction(3, 4), Fraction(1, 8))
-    assert check_superadditivity(odd, *draw) == check_superadditivity(TORUS, *draw)
+    assert check_superadditivity(wide, *draw) == check_superadditivity(TORUS, *draw)
+    query = [WindowQuery(Fraction(1, 2), Fraction(1, 16), Kind.BETTI.boundary)]
+    assert window_counts(wide, 8, Kind.BETTI, query) == window_counts(TORUS, 8, Kind.BETTI, query) == (24310,)
 
 
 def test_fekete_preconditions():
@@ -285,16 +293,15 @@ def test_fekete_preconditions():
 
 
 def test_fekete_collects_violations_instead_of_raising(monkeypatch):
-    # BROKEN's empty window at 0, counted by the oracle; the check refuses
-    # the atoms, since its certificates rest on them
+    # BROKEN's empty window at 0, counted by the oracle; no spectrum can
+    # hold its atoms, since the check's certificates rest on them
     report = full_sweep_check_fekete(BROKEN, (Fraction(0),), Fraction(1, 20), 45)
     assert not report.passed
     tags = [dict(v.inputs)["sub_check"] for v in report.violations]
     assert tags.count("unit_floor") == 5
     assert tags.count("rate_vs_limit") == 1
     assert len(tags) == 6
-    with pytest.raises(ValueError, match="betti_weight at extreme value 0 must be >= 1"):
-        check_fekete(BROKEN, Fraction(0), Fraction(1, 20), 45)
+    refused(BROKEN_ENTRIES, "betti_weight at extreme value 0 must be >= 1")
     # a wrong count on a validated spectrum is reported per centre, in order
     monkeypatch.setattr(laws, "window_counts", lambda spec, n, kind, queries, cap: (1,) * len(queries))
     centres = (Fraction(0), Fraction(1, 2), Fraction(1, 20))
@@ -363,23 +370,6 @@ def test_verify_fekete_reads_exact_counts_only_where_its_laws_do(monkeypatch, ca
     assert len(fekete_pairs(Fraction(1, 10), 64)) == 24  # still counted as instances
 
 
-def test_fekete_refuses_a_negative_betti_weight_before_any_count(monkeypatch):
-    # the unit floor and the pairs are read from the atoms: a negative
-    # weight would pass unseen, so it is refused
-    def refuse(*args, **kwargs):
-        raise AssertionError("counted a spectrum with a negative betti weight")
-
-    monkeypatch.setattr(laws, "window_counts", refuse)
-    for centres, delta, n_max in (
-        ((Fraction(1, 2), Fraction(1, 4)), Fraction(1, 10), 64),
-        ((Fraction(0), Fraction(1, 3), Fraction(1, 2)), Fraction(1, 20), 45),
-    ):
-        with pytest.raises(ValueError, match="multiplicity at value 1/2 must be >= 1, got -1"):
-            check_fekete(SIGNED, centres, delta, n_max)
-    with pytest.raises(ValueError, match="betti_weight at value 1/2 must be >= 0, got -1"):
-        check_fekete(bypassed((0, 1, 1), (Fraction(1, 2), 1, -1), (1, 1, 1)), 0, Fraction(1, 10), 64)
-
-
 def test_fekete_checks_the_cap_before_building_any_distribution(monkeypatch, capsys):
     monkeypatch.setattr(counter, "_miller", None)  # any count would raise TypeError
     with pytest.raises(ResourceCapError, match="128 exceeds cap 127"):
@@ -392,39 +382,42 @@ def test_fekete_checks_the_cap_before_building_any_distribution(monkeypatch, cap
 
 
 # Atoms that break the premise of the law certificates, one invariant
-# each, with the tag of the SpectrumError that names it.
+# each, with the tag and message of the SpectrumError that names it.
 PREMISE_BREAKS = {
-    "negative_betti": (((0, 1, 1), (Fraction(1, 2), 1, -3), (1, 1, 1)), "betti_weight_invalid"),
+    "negative_betti": (
+        ((0, 1, 1), (Fraction(1, 2), 1, -3), (1, 1, 1)),
+        "betti_weight_invalid",
+        "betti_weight at value 1/2 must be >= 0, got -3",
+    ),
+    "negative_multiplicity": (
+        ((0, 1, 1), (Fraction(1, 2), -1, -1), (1, 1, 1)),
+        "multiplicity_invalid",
+        "multiplicity at value 1/2 must be >= 1, got -1",
+    ),
     "betti_above_multiplicity": (
         ((0, 1, 1), (Fraction(1, 2), 1, 5), (1, 1, 1)),
         "betti_weight_exceeds_multiplicity",
+        "betti_weight 5 > multiplicity 1 at value 1/2",
     ),
     "betti_zero_at_an_extreme": (
         ((0, 1, 0), (Fraction(1, 2), 1, 1), (1, 1, 1)),
         "extreme_betti_weight_zero",
+        "betti_weight at extreme value 0 must be >= 1",
     ),
-    "no_atom_at_0": (((Fraction(1, 3), 1, 1), (1, 1, 1)), "missing_minimum"),
-    "no_atom_at_1": (((0, 1, 1), (Fraction(1, 2), 2, 2)), "missing_maximum"),
+    "no_atom_at_0": (((Fraction(1, 3), 1, 1), (1, 1, 1)), "missing_minimum", "no atom at value 0"),
+    "no_atom_at_1": (((0, 1, 1), (Fraction(1, 2), 2, 2)), "missing_maximum", "no atom at value 1"),
 }
 
 
-@pytest.mark.parametrize("entries, tag", PREMISE_BREAKS.values(), ids=PREMISE_BREAKS)
-def test_every_law_check_refuses_a_broken_premise_before_any_count(monkeypatch, entries, tag):
-    monkeypatch.setattr(counter, "_miller", None)  # any count would raise TypeError
-    spec = bypassed(*entries)
-    half, tenth = Fraction(1, 2), Fraction(1, 10)
-    checks = (
-        lambda: check_domination(spec, 4, [WindowQuery(half, tenth)]),
-        lambda: check_superadditivity(spec, 2, 3, half, half, tenth),
-        lambda: check_fekete(spec, (half, Fraction(1)), tenth, 64),
-        # the premise is checked before the cap
-        lambda: check_fekete(spec, (half, Fraction(1)), tenth, 64, cap=1),
-    )
-    for check in checks:
-        with pytest.raises(ValueError) as refused:
-            check()
-        assert isinstance(refused.value, SpectrumError)
-        assert refused.value.violation == tag
+@pytest.mark.parametrize("entries, tag, message", PREMISE_BREAKS.values(), ids=PREMISE_BREAKS)
+def test_every_broken_premise_raises_at_construction(entries, tag, message):
+    # The law checks read their certificates off the atoms, so no spectrum
+    # may hold atoms that break the premise: building one raises, through
+    # the records and through validate_spectrum alike.
+    assert refused(entries, message) == tag
+    with pytest.raises(SpectrumError, match=message) as raised:
+        validate_spectrum(entries)
+    assert raised.value.violation == tag
 
 
 def test_unit_floor_certificate_holds_on_random_spectra():
@@ -443,16 +436,16 @@ def test_unit_floor_certificate_holds_on_random_spectra():
 def test_unit_floor_needs_an_atom_at_each_extreme():
     # no atom at 1: every tuple mean is at most 1/2, so the window around 1
     # is empty at every n, which the premise rules out
-    spec = bypassed(*PREMISE_BREAKS["no_atom_at_1"][0])
+    entries = PREMISE_BREAKS["no_atom_at_1"][0]
+    spec = unvalidated_spectrum(*entries)
     report = full_sweep_check_fekete(spec, (Fraction(1),), Fraction(1, 10), 24)
     floors = [v for v in report.violations if dict(v.inputs)["sub_check"] == "unit_floor"]
     assert [(dict(v.inputs)["n"], v.lhs) for v in floors] == [(str(n), 0) for n in range(21, 25)]
-    with pytest.raises(ValueError, match="no atom at value 1"):
-        check_fekete(spec, Fraction(1), Fraction(1, 10), 24)
+    refused(entries, "no atom at value 1")
 
 
 # weight -1 at 1/2 lets a count go negative, so products can beat the whole
-SIGNED = bypassed((0, 1, 1), (Fraction(1, 2), -1, -1), (1, 1, 1))
+SIGNED = unvalidated_spectrum(*PREMISE_BREAKS["negative_multiplicity"][0])
 
 
 def _verify_draws(seed, windows=25, instances=50):
@@ -484,9 +477,6 @@ def test_batched_superadditivity_equals_single_draws(monkeypatch):
             monkeypatch.undo()
             assert batched == singles
             assert powers == []
-        # SIGNED's violations and their order: see the oracle's digest below
-        with pytest.raises(ValueError, match="multiplicity at value 1/2 must be >= 1, got -1"):
-            check_superadditivity(SIGNED, *draws)
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     assert check_superadditivity(TORUS, [1], [1], [half], [half], [quarter]) == (
         check_superadditivity(TORUS, 1, 1, half, half, quarter)
@@ -526,15 +516,15 @@ def test_signed_superadditivity_reports_match_miller_counts():
 
 def test_superadditivity_counts_a_negative_multiplicity():
     # Every homology weight is >= 0, but the multiplicity -1 at 1/2 makes
-    # critical counts negative: the oracle counts the failures, and the
-    # premise refuses the multiplicity
-    spec = bypassed((0, 1, 1), (Fraction(1, 2), -1, 1), (1, 1, 1))
+    # critical counts negative: the oracle counts the failures, and no
+    # spectrum can hold the multiplicity
+    entries = ((0, 1, 1), (Fraction(1, 2), -1, 1), (1, 1, 1))
+    spec = unvalidated_spectrum(*entries)
     reports = [swept_check_superadditivity(spec, *_verify_draws(seed)) for seed in (0, 7, 11)]
     assert [len(report.violations) for report in reports] == [24, 29, 27]
     for report in reports:
         assert {dict(v.inputs)["kind"] for v in report.violations} == {"critical"}
-    with pytest.raises(ValueError, match="multiplicity at value 1/2 must be >= 1, got -1"):
-        check_superadditivity(spec, *_verify_draws(0))
+    refused(entries, "multiplicity at value 1/2 must be >= 1, got -1")
 
 
 def test_superadditivity_reads_no_cap(monkeypatch, capsys):
@@ -586,8 +576,7 @@ def test_bounds_grid_validation():
 
 
 def test_bounds_catch_a_bypassed_spectrum():
-    broken = bypassed((0, 1, 1), (Fraction(1, 2), 1, 5), (1, 1, 1))
-    report = check_bounds_and_max(broken, 21)
+    report = check_bounds_and_max(HEAVY, 21)
     assert not report.passed
     bounds = {dict(v.inputs)["bound"] for v in report.violations}
     assert "betti_below_epsilon" in bounds

@@ -1,4 +1,4 @@
-"""Record types, what importing the CLI loads, unused imports, and what the benchmark probe calls."""
+"""Record types, what importing the CLI loads, unused imports, who validates, and what the benchmark probe calls."""
 
 import ast
 import importlib.util
@@ -25,10 +25,14 @@ from morse_entropy import (
     MaxEntSolution,
     MeanDistribution,
     SpectrumAtom,
+    SpectrumError,
     Violation,
     WindowQuery,
+    legendre_epsilon,
     maxent_rate,
     preset,
+    validate_spectrum,
+    window_counts,
 )
 from morse_entropy import rate
 from morse_entropy.counter import window_range
@@ -36,13 +40,14 @@ from morse_entropy.counter import window_range
 ROOT = Path(__file__).resolve().parents[1]
 HALF, TENTH = Fraction(1, 2), Fraction(1, 10)
 TORUS = preset("torus")
+CIRCLE = preset("circle")
 ROW = LaplaceRow(10.0, 0.25, 0.14, 512, True)
 
 # Each record type with its fields, in declaration order, set to two valid
 # sets of values that differ in every field.
 RECORDS = [
     (SpectrumAtom, {"value": (HALF, TENTH), "multiplicity": (2, 3), "betti_weight": (2, 1)}),
-    (CriticalSpectrum, {"atoms": (TORUS.atoms, TORUS.atoms[1:]), "denom": (2, 4)}),
+    (CriticalSpectrum, {"atoms": (TORUS.atoms, CIRCLE.atoms), "denom": (2, 3)}),
     (
         MeanDistribution,
         {
@@ -145,11 +150,42 @@ def test_window_query_default_boundary_and_rational_inputs():
         (MeanDistribution(1, 1, (1, 1), Kind.BETTI), {"counts": (1,)}, "does not match"),
         (Curve((0, 1), (0.0, 0.0), "epsilon"), {"rates": (0.0,)}, "equal length"),
         (MaxEntProblem((0, 1), (1.0, 1.0), HALF), {"weights": (1.0, 0.0)}, "positive"),
+        (SpectrumAtom(HALF, 2, 1), {"betti_weight": 3}, "betti_weight 3 > multiplicity 2"),
+        (SpectrumAtom(HALF, 2, 1), {"value": 2}, r"outside \[0, 1\]"),
+        (TORUS, {"denom": 3}, "denom must be a positive multiple of 2, got 3"),
+        (TORUS, {"atoms": TORUS.atoms[1:]}, "no atom at value 0"),
     ],
 )
 def test_replace_validates_like_construction(record, change, message):
     with pytest.raises(ValueError, match=message):
         record._replace(**change)
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_spectrum_builds_under_any_multiple_of_its_lcm():
+    # The benchmark's two-route check builds the Betti sub-spectrum of its
+    # seed-20 spectrum with that spectrum's denom 90, twice the lcm 45 of
+    # the sub-spectrum's own values: it builds, and counts and solves as
+    # the sub-spectrum under its lcm does.
+    atoms = _bench_module("references").seeded_spectrum(20)
+    parent = validate_spectrum(atoms)
+    sub = [SpectrumAtom(v, b, b) for v, _, b in atoms if b > 0]
+    wide, lean = CriticalSpectrum(tuple(sub), parent.denom), validate_spectrum(sub)
+    assert (wide.denom, lean.denom) == (90, 45) and wide.atoms == lean.atoms
+    centres = (Fraction(1, 4), HALF, Fraction(4, 5))
+    for kind in Kind:
+        queries = [WindowQuery(c, Fraction(1, 16), kind.boundary) for c in centres]
+        assert window_counts(wide, 60, kind, queries) == window_counts(lean, 60, kind, queries)
+    for c in (Fraction(1, 90), Fraction(1, 3), HALF, Fraction(89, 90), 0.7):
+        assert legendre_epsilon(wide, c) == legendre_epsilon(lean, c)
+    with pytest.raises(SpectrumError, match="multiple of 45, got 60"):
+        lean._replace(denom=60)
 
 
 def test_replace_rebuilds_what_validation_keeps():
@@ -233,10 +269,7 @@ def test_public_api_is_pinned():
 
 
 def _traced_modules():
-    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.TRACED
+    return _bench_module("tracer").TRACED
 
 
 @pytest.mark.parametrize(
@@ -256,6 +289,35 @@ def test_every_imported_name_is_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _callers(tree, name):
+    """Names of the functions in ``tree`` that call ``name``, ``<module>`` for top-level calls."""
+    callers = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                callers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def test_only_the_spectrum_sources_validate():
+    # A CriticalSpectrum checks itself, so nothing re-validates one: only
+    # the built-in presets and the CLI's spectrum file are raw triples.
+    callers = {
+        (path.stem, caller)
+        for path in (ROOT / "src" / "morse_entropy").glob("*.py")
+        for caller in _callers(ast.parse(path.read_text()), "validate_spectrum")
+    }
+    assert callers == {("spectrum", "preset"), ("cli", "_load_spectrum")}
 
 
 def test_cli_import_loads_every_module_and_no_dataclasses_inspect_or_json():

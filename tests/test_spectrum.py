@@ -1,5 +1,7 @@
 """Spectrum ingestion: presets, merging, ordering, named violations."""
 
+import math
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from morse_entropy import (
+    CriticalSpectrum,
+    SpectrumAtom,
     SpectrumError,
     as_rational,
     entry_multiset,
@@ -16,6 +20,7 @@ from morse_entropy import (
     preset_names,
     validate_spectrum,
 )
+from morse_entropy.spectrum import _lcm
 
 
 def test_circle_preset():
@@ -108,6 +113,44 @@ def test_named_violations(raw, violation):
     with pytest.raises(SpectrumError) as err:
         validate_spectrum(raw)
     assert err.value.violation == violation
+
+
+TORUS_ATOMS = preset("torus").atoms
+
+
+@pytest.mark.parametrize(
+    "atoms, denom, violation",
+    [
+        ((), 1, "empty_spectrum"),
+        (TORUS_ATOMS[::-1], 2, "values_not_increasing"),
+        ((TORUS_ATOMS[0], TORUS_ATOMS[0], TORUS_ATOMS[2]), 1, "values_not_increasing"),
+        (TORUS_ATOMS, 3, "denom_invalid"),
+        (TORUS_ATOMS, 0, "denom_invalid"),
+        (TORUS_ATOMS, -2, "denom_invalid"),
+        (TORUS_ATOMS, 2.0, "denom_invalid"),
+        (TORUS_ATOMS, True, "denom_invalid"),
+        (TORUS_ATOMS, "2", "denom_invalid"),
+    ],
+)
+def test_a_spectrum_built_directly_checks_its_cross_atom_rules(atoms, denom, violation):
+    with pytest.raises(SpectrumError) as err:
+        CriticalSpectrum(atoms, denom)
+    assert err.value.violation == violation
+
+
+def test_valid_atoms_pass_through_construction():
+    torus = preset("torus")
+    assert CriticalSpectrum(torus.atoms, 2) == torus
+    assert CriticalSpectrum(torus.atoms, 6).denom == 6  # any multiple of the lcm
+    assert SpectrumAtom("1/2", 2, 1) == SpectrumAtom(Fraction(1, 2), 2, 1)
+    assert type(SpectrumAtom(1, 1, 1).value) is Fraction
+
+
+def test_lcm_equals_the_sequential_fold():
+    rng = random.Random(5)
+    for size in (0, 1, 2, 3, 7, 64, 101):
+        numbers = [rng.randint(1, 10**6) for _ in range(size)]
+        assert _lcm(numbers) == math.lcm(*numbers)
 
 
 def test_betti_excess_error_names_the_value():

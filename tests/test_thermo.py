@@ -12,6 +12,7 @@ from morse_entropy import (
     ConvergenceError,
     CriticalSpectrum,
     MaxEntProblem,
+    SpectrumError,
     circle_height,
     epsilon_curve,
     gibbs,
@@ -160,11 +161,16 @@ def test_legendre_is_relatively_accurate_far_inside_both_edges(k):
     assert legendre_epsilon(TORUS, c) == pytest.approx(2.0 * edge_binary_entropy(c), rel=1e-15)
 
 
-def test_legendre_places_the_atoms_without_trusting_denom():
-    # torus atoms under a wrong denom of 3, built without validation
-    odd = CriticalSpectrum(atoms=TORUS.atoms, denom=3)
+def test_legendre_reads_the_torus_under_any_common_denom():
+    # legendre_epsilon places the atoms on spec.denom: a denom of 3 would
+    # misplace the one at 1/2, so it does not build, and a multiple of 2
+    # places them all
+    for build in (lambda: CriticalSpectrum(TORUS.atoms, 3), lambda: TORUS._replace(denom=3)):
+        with pytest.raises(SpectrumError, match="denom must be a positive multiple of 2, got 3"):
+            build()
+    wide = CriticalSpectrum(TORUS.atoms, 6)
     for c in (Fraction(1, 3), Fraction(1, 2), Fraction(7, 10), 0.25):
-        assert legendre_epsilon(odd, c) == legendre_epsilon(TORUS, c)
+        assert legendre_epsilon(wide, c) == legendre_epsilon(TORUS, c)
 
 
 def test_legendre_at_a_distance_that_rounds_to_zero_reads_the_edge():
