@@ -218,22 +218,20 @@ def _write_output(chunks: Iterable[str], out: Optional[str]) -> None:
 
 def _cmd_spectrum(args) -> int:
     spec = _load_spectrum(args)
-    if args.action == "dump":
-        import json
-
-        records = [
-            {
-                "value": str(a.value),
-                "multiplicity": a.multiplicity,
-                "betti_weight": a.betti_weight,
-            }
-            for a in spec.atoms
-        ]
-        _write_output([json.dumps(records, indent=2) + "\n"], args.out)
+    rows = [
+        (str(a.value), _decimal(a.multiplicity, f"multiplicity at {a.value}"),
+         _decimal(a.betti_weight, f"betti_weight at {a.value}"))
+        for a in spec.atoms
+    ]
+    if args.action == "dump":  # the records as json.dumps(records, indent=2) writes them
+        records = ",\n".join(
+            f'  {{\n    "value": "{v}",\n    "multiplicity": {m},\n    "betti_weight": {b}\n  }}'
+            for v, m, b in rows
+        )
+        _write_output([f"[\n{records}\n]\n"], args.out)
         return 0
-    lines = [f"ok atoms={len(spec.atoms)} p={spec.p} B={spec.total_betti} denom={_decimal(spec.denom, 'denom')}"]
-    for a in spec.atoms:
-        lines.append(f"{a.value} {a.multiplicity} {a.betti_weight}")
+    p, b, denom = _decimal(spec.p, "p"), _decimal(spec.total_betti, "B"), _decimal(spec.denom, "denom")
+    lines = [f"ok atoms={len(spec.atoms)} p={p} B={b} denom={denom}", *map(" ".join, rows)]
     _write_output(["\n".join(lines) + "\n"], args.out)
     return 0
 
@@ -247,9 +245,6 @@ def _cmd_curve(args) -> int:
         bet = eps  # a perfect Morse function: both curves solve one family
     else:
         bet = betti_curve(spec, args.grid) if args.kind in ("both", "betti") else None
-    for curve in (eps, bet):
-        if curve is not None and any(math.isnan(r) for r in curve.rates):
-            raise ConvergenceError("rate solver failed to converge on the grid")
     _write_output(_curve_chunks(eps, bet, math.log(spec.p), args.fmt), args.out)
     return 0
 
@@ -287,12 +282,16 @@ def _cmd_verify(args) -> int:
     if args.suite in ("all", "bounds"):
         reports.append(check_bounds_and_max(spec, 21))
 
+    lines = []  # all formatted before any is printed: a number too long to print exits 4
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
-        print(f"{status} {report.law} instances={report.instances_checked} violations={len(report.violations)}")
+        instances = _decimal(report.instances_checked, "instance count")
+        lines.append((sys.stdout, f"{status} {report.law} instances={instances} violations={len(report.violations)}"))
         for violation in report.violations[:5]:
             detail = " ".join(f"{k}={v}" for k, v in violation.inputs)
-            print(f"  {detail} lhs={violation.lhs} rhs={violation.rhs}", file=sys.stderr)
+            lines.append((sys.stderr, f"  {detail} lhs={violation.lhs} rhs={violation.rhs}"))
+    for stream, line in lines:
+        print(line, file=stream)
     return 0 if all(report.passed for report in reports) else 2
 
 
@@ -320,7 +319,7 @@ def _parse_betas(text: str) -> List[float]:
 def _cmd_thermo(args) -> int:
     spec = _load_spectrum(args)
     betas = _parse_betas(args.beta)
-    # a bad Laplace grid is bad input: reject it before any row is printed
+    # a bad Laplace grid or an unsettled quadrature raises before any row is printed
     report = laplace_check(betas) if args.laplace else None
     print("beta,free_energy,gibbs_mean,mass_at_value_0")
     for beta in betas:
@@ -331,9 +330,6 @@ def _cmd_thermo(args) -> int:
         print("beta,g,points")
         for row in report.rows:
             print(f"{row.beta:.12g},{row.g:.12g},{row.points}")
-        if not report.converged:
-            print("laplace FAIL (quadrature unsettled)", file=sys.stderr)
-            return 3
         if report.violations:
             print("laplace FAIL", file=sys.stderr)
             for violation in report.violations:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .counter import Kind, WindowQuery, finite_rate, window_counts
-from .rate import betti_curve, epsilon_curve, maxent_rate, MaxEntProblem, window_sup_rate
+from .rate import _solve, betti_curve, epsilon_curve, MaxEntProblem, window_sup_rate
 from .spectrum import CriticalSpectrum, entry_multiset
 
 
@@ -138,7 +138,7 @@ def check_fekete(
     :class:`~.counter.WindowQuery` windows, n_max >= ceil(2/delta) + 4 so
     the tail past the unit floor is non-trivial, and n_max within the cap,
     in that order; the cap is checked by :func:`window_counts`, before it
-    counts.
+    counts.  A rate supremum that does not converge raises ConvergenceError.
 
     The first two sub-checks are certificates.  ``superadditive_pairs``
     holds by the argument of :func:`check_superadditivity`.
@@ -186,11 +186,11 @@ def check_fekete(
 def check_bounds_and_max(spec: CriticalSpectrum, grid_points: int) -> LawReport:
     """Curve ordering and the homology peak.
 
-    Pointwise on a uniform grid: 0 <= betti rate <= epsilon rate <=
-    log p, each with 1e-12 slack for float evaluation.  The peak check
-    additionally evaluates the homology rate at its exact maximiser (the
-    weighted mean of the entry values), since a uniform grid can miss the
-    peak by far more than the 1e-9 slack allows.
+    Pointwise on a uniform grid: 0 <= betti rate <= epsilon rate <= log p,
+    each with 1e-12 slack for float evaluation.  The peak check also solves
+    the homology rate at its exact maximiser (the weighted mean of the entry
+    values), since a uniform grid can miss the peak by far more than the
+    1e-9 slack allows.  A rate that does not converge raises ConvergenceError.
     """
     if grid_points < 11:
         raise ValueError(f"grid_points must be >= 11, got {grid_points}")
@@ -210,7 +210,7 @@ def check_bounds_and_max(spec: CriticalSpectrum, grid_points: int) -> LawReport:
     entries = entry_multiset(spec)
     total_b = spec.total_betti
     c_star = sum(v * w for v, w in entries) / total_b
-    peak = max(max(bet.rates), maxent_rate(MaxEntProblem(*zip(*entries), c_star)).rate)
+    peak = max(max(bet.rates), _solve(MaxEntProblem(*zip(*entries), c_star)).rate)
     if not peak >= math.log(total_b) - 1e-9:
         violations.append(
             Violation(_tag(bound="peak_reaches_log_homology", c=c_star), peak, math.log(total_b))

@@ -73,7 +73,10 @@ class MaxEntProblem(
         cls, values: Sequence[Fraction], weights: Sequence[float], target: Union[Fraction, float]
     ):
         values = tuple(as_rational(v) for v in values)
-        weights = tuple(float(w) for w in weights)
+        try:
+            weights = tuple(map(float, weights))
+        except OverflowError:  # an int past the float range: refused below as not finite
+            weights = (math.inf,) * len(weights)
         if len(values) != len(weights) or not values:
             raise ValueError("values and weights must have equal length >= 1")
         values, weights = zip(*sorted(zip(values, weights), key=lambda vw: vw[0]))
@@ -234,6 +237,14 @@ def maxent_rate(problem: MaxEntProblem, start: float = 0.0) -> MaxEntSolution:
     )
 
 
+def _solve(problem: MaxEntProblem, start: float = 0.0) -> MaxEntSolution:
+    """:func:`maxent_rate`'s solution; ConvergenceError naming the target if it did not converge."""
+    sol = maxent_rate(problem, start)
+    if not sol.converged:
+        raise ConvergenceError(f"rate solver did not converge at c={float(problem.target):.12g}")
+    return sol
+
+
 class Curve(
     _ValidatedRecord,
     NamedTuple(
@@ -264,13 +275,13 @@ def _curve(values, weights, grid_points: int, kind: str) -> Curve:
     with integer arithmetic.  The points with c <= 1/2 are solved in order
     up from c = 0 and the others down from c = 1, so each half walks in from
     its own hull edge.  Along a walk each solve starts at the multiplier
-    extrapolated through the last three converged ones (quadratic; linear
-    or constant while fewer are known), and from lam = 0 at the first
-    interior point and after any point that did not converge or has an
-    infinite lam.  A family that is its own mirror image about 1/2 (values
-    v and 1 - v with equal weights) gives rate(1 - c) = rate(c) bit for
-    bit, because ``maxent_rate`` measures both targets from their nearer
-    edge, so only the lower half is walked and the rest is copied.
+    extrapolated through the last three (quadratic; linear or constant
+    while fewer are known), and from lam = 0 after the edge's point mass,
+    whose lam is infinite.  A family that is its own mirror image about 1/2
+    (values v and 1 - v with equal weights) gives rate(1 - c) = rate(c) bit
+    for bit, because ``maxent_rate`` measures both targets from their nearer
+    edge, so only the lower half is walked and the rest is copied.  A solve
+    that does not converge raises ConvergenceError naming its c.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
@@ -279,32 +290,28 @@ def _curve(values, weights, grid_points: int, kind: str) -> Curve:
     vs, ws = family.values, family.weights
     mirrored = all(v + u == 1 for v, u in zip(vs, reversed(vs))) and ws == ws[::-1]
     half = (grid_points + 1) // 2
-    rates = [math.nan] * grid_points
+    rates: List[float] = []
     walks = [range(half)] if mirrored else [range(half), range(grid_points - 1, half - 1, -1)]
     for walk in walks:
         known: List[float] = []
         for j in walk:
             start = sum(map(mul, _EXTRAPOLATE[len(known)], reversed(known)))
-            sol = maxent_rate(family.at(grid[j]), start)
-            # A non-converged point is marked nan rather than trusted.
-            rates[j] = sol.rate if sol.converged else math.nan
-            known = known[-2:] + [sol.lam] if sol.converged and math.isfinite(sol.lam) else []
-    if mirrored:
-        rates[half:] = rates[grid_points - 1 - half::-1]
+            sol = _solve(family.at(grid[j]), start)
+            rates.append(sol.rate)
+            known = known[-2:] + [sol.lam] if math.isfinite(sol.lam) else []
+    # the lower half's mirror image, or the upper walk, run down from c = 1, reversed
+    rates[half:] = rates[grid_points - 1 - half::-1] if mirrored else rates[half:][::-1]
     return Curve(grid=grid, rates=tuple(rates), kind=kind)
 
 
 def epsilon_curve(spec: CriticalSpectrum, grid_points: int) -> Curve:
-    """Critical-point growth rate on a uniform grid over [0, 1]."""
+    """Critical-point growth rate on a uniform grid over [0, 1]; raises as :func:`_curve` does."""
     return _curve(spec.values(), spec.multiplicities(), grid_points, "epsilon")
 
 
 def betti_curve(spec: CriticalSpectrum, grid_points: int) -> Curve:
-    """Homology growth rate on a uniform grid over [0, 1]."""
-    entries = entry_multiset(spec)
-    return _curve(
-        tuple(v for v, _ in entries), tuple(w for _, w in entries), grid_points, "betti"
-    )
+    """Homology growth rate on a uniform grid over [0, 1]; raises as :func:`_curve` does."""
+    return _curve(*zip(*entry_multiset(spec)), grid_points, "betti")
 
 
 def window_sup_rate(
@@ -318,7 +325,7 @@ def window_sup_rate(
     The rate is concave with its peak at the weighted mean of the values,
     so the supremum is either the peak value log(sum w) or the rate at
     the window edge nearer the peak.  A window missing the hull entirely
-    returns -inf.
+    returns -inf.  A rate there that does not converge raises ConvergenceError.
     """
     family = MaxEntProblem(values, weights, lo)
     v_min, v_max = family.values[0], family.values[-1]
@@ -331,4 +338,4 @@ def window_sup_rate(
     if win_lo <= c_star <= win_hi:
         return math.log(total)
     edge = win_lo if c_star < win_lo else win_hi
-    return maxent_rate(family.at(edge)).rate
+    return _solve(family.at(edge)).rate

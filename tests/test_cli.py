@@ -347,7 +347,19 @@ def test_curve_with_a_point_that_did_not_converge_exits_three(capsys, monkeypatc
     assert run(["curve", "--preset", "torus", "--grid", "11"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: rate solver failed to converge on the grid\n"
+    assert captured.err == "error: rate solver did not converge at c=0.1\n"
+
+
+@pytest.mark.parametrize(
+    "suite", [["--suite", "bounds"], ["--suite", "fekete", "--fekete-n-max", "200"]], ids=["bounds", "fekete"]
+)
+def test_verify_with_a_solve_that_did_not_converge_exits_three(capsys, monkeypatch, suite):
+    # A rate that did not converge is neither a violation nor a sup to pass on
+    monkeypatch.setattr(rate_module, "MAX_ITERATIONS", 2)
+    assert run(["verify", "--preset", "torus", *suite]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: rate solver did not converge at c=")
 
 
 def test_emit_curve_spells_out_nonfinite_values():
@@ -436,15 +448,20 @@ HUGE_DENOM_RECORDS = [
 
 
 @pytest.fixture
-def huge_denom_file(tmp_path):
-    path = tmp_path / "huge_denom.json"
-    path.write_text(json.dumps(HUGE_DENOM_RECORDS), encoding="utf-8")
+def digit_limit():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        yield str(path)
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def huge_denom_file(tmp_path, digit_limit):
+    path = tmp_path / "huge_denom.json"
+    path.write_text(json.dumps(HUGE_DENOM_RECORDS), encoding="utf-8")
+    return str(path)
 
 
 @pytest.mark.skipif(
@@ -476,6 +493,88 @@ def test_spectrum_validate_past_the_digit_limit_names_denom(capsys, huge_denom_f
     denom = (10**1500 + 1) * (10**1500 + 3) * (10**1500 + 7)
     sys.set_int_max_str_digits(0)
     assert proc.stdout.splitlines()[0] == f"ok atoms=5 p=5 B=5 denom={denom}"
+
+
+NINES = "9" * 4300  # the longest int CPython reads at its default digit limit
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int-to-str digit limit"
+)
+def test_verify_instance_count_past_the_digit_limit_names_it(capsys, digit_limit):
+    # 25 windows times n_max has 4302 digits; nothing is printed before it
+    for suite in ("domination", "all"):
+        assert run(["verify", "--preset", "torus", "--suite", suite, "--n-max", NINES]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: the instance count has more digits than Python's limit of 4300"
+        )
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int-to-str digit limit"
+)
+@pytest.mark.parametrize(
+    "records, named",
+    [
+        # two records at 1/2 merge into one multiplicity of 4301 digits
+        (
+            [
+                {"value": "0", "multiplicity": 1, "betti_weight": 1},
+                {"value": "1/2", "multiplicity": int(NINES), "betti_weight": 0},
+                {"value": "1/2", "multiplicity": int(NINES), "betti_weight": 0},
+                {"value": "1", "multiplicity": 1, "betti_weight": 1},
+            ],
+            {"validate": "multiplicity at 1/2", "dump": "multiplicity at 1/2"},
+        ),
+        # no one number is too long, but their sums p and B are
+        (
+            [
+                {"value": "0", "multiplicity": int(NINES), "betti_weight": int(NINES)},
+                {"value": "1", "multiplicity": int(NINES), "betti_weight": int(NINES)},
+            ],
+            {"validate": "p", "dump": None},
+        ),
+    ],
+    ids=["merged_multiplicity", "p"],
+)
+def test_spectrum_numbers_past_the_digit_limit_are_named(tmp_path, capsys, digit_limit, records, named):
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps(records), encoding="utf-8")
+    for action, what in named.items():
+        code = run(["spectrum", action, "--spectrum-file", str(path)])
+        captured = capsys.readouterr()
+        if what is None:  # dump prints neither p nor B
+            assert code == 0 and json.loads(captured.out) == records
+            continue
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: the {what} has more digits than Python's limit of 4300")
+
+
+# A multiplicity and betti weight past the float range: the rate routes
+# refuse it as a weight, and the exact and Gibbs routes still take it.
+HUGE_WEIGHT_RECORDS = [
+    {"value": "0", "multiplicity": 1, "betti_weight": 1},
+    {"value": "1/2", "multiplicity": 10**400, "betti_weight": 10**400},
+    {"value": "1", "multiplicity": 1, "betti_weight": 1},
+]
+
+
+def test_a_weight_past_the_float_range_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps(HUGE_WEIGHT_RECORDS), encoding="utf-8")
+    source = ["--spectrum-file", str(path)]
+    for argv in (["curve"], ["verify", "--suite", "bounds"], ["verify", "--suite", "fekete"]):
+        assert run([*argv, *source]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: weights must be positive and finite\n"
+    assert run(["count", *source, "--n", "1", "--c", "1/2", "--delta", "1/4"]) == 0
+    assert capsys.readouterr().out == f"{10**400}\n"
+    assert run(["thermo", *source, "--beta", "0,1"]) == 0
+    assert capsys.readouterr().out.startswith("beta,free_energy,gibbs_mean,mass_at_value_0\n0,921.")
 
 
 # Every int option of the CLI, with what bounds the work it asks for.
@@ -599,6 +698,8 @@ def _limit_child():
 @example(case=(["count", "--preset", "torus", "--n", "4", "--c", "1e99999999", "--delta", "1/4"], None))
 @example(case=(["count", "--preset", "torus", "--n", "4", "--c", "1e-99999999", "--delta", "1/4"], None))
 @example(case=(["spectrum", "validate"], [{"value": "1e99999999", "multiplicity": 1, "betti_weight": 1}]))
+@example(case=(["curve"], HUGE_WEIGHT_RECORDS))
+@example(case=(["verify"], HUGE_WEIGHT_RECORDS))
 def test_every_size_ends_in_a_documented_exit_code(case):
     # One child at a time, under 2 GiB of address space and 10 s of CPU:
     # a size the CLI accepts must finish, and any other must be refused.
@@ -672,6 +773,7 @@ def test_spectrum_dump_round_trip(tmp_path, capsys):
         {"value": "1/2", "multiplicity": 2, "betti_weight": 2},
         {"value": "1", "multiplicity": 1, "betti_weight": 1},
     ]
+    assert dumped.read_text() == json.dumps(records, indent=2) + "\n"
     assert run(["spectrum", "validate", "--spectrum-file", str(dumped)]) == 0
     out = capsys.readouterr().out
     assert "ok atoms=3 p=4 B=4 denom=2" in out
@@ -954,7 +1056,7 @@ def test_thermo_refuses_an_empty_beta_list(capsys):
 
 
 def test_thermo_laplace_violation_exits_two(capsys, monkeypatch):
-    row = thermo_module.LaplaceRow(beta=10.0, z=0.25, g=0.125, points=512, converged=True)
+    row = thermo_module.LaplaceRow(beta=10.0, z=0.25, g=0.125, points=512)
     report = thermo_module.LaplaceReport(rows=(row,), violations=("g(10) = 0.125 outside (0, 0.1]",))
     monkeypatch.setattr(cli_module, "laplace_check", lambda betas: report)
     assert run(["thermo", "--preset", "circle", "--beta", "10", "--laplace"]) == 2
@@ -966,7 +1068,17 @@ def test_thermo_laplace_violation_exits_two(capsys, monkeypatch):
 def test_thermo_laplace_unsettled_exits_three(capsys, monkeypatch):
     monkeypatch.setattr(thermo_module, "_QUADRATURE_MAX_POINTS", 256)
     assert run(["thermo", "--preset", "circle", "--beta", "10", "--laplace"]) == 3
-    assert "unsettled" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: quadrature did not settle at beta=10\n"
+
+
+def test_thermo_laplace_past_the_finest_grid_prints_no_table(capsys):
+    # At beta = 1e13 the peak is narrower than the finest grid's spacing
+    assert run(["thermo", "--preset", "circle", "--beta", "1e13", "--laplace"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: quadrature did not settle at beta=1e+13\n"
 
 
 def test_module_entry_point():

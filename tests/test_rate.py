@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from morse_entropy import (
+    ConvergenceError,
     Curve,
     Kind,
     MaxEntProblem,
@@ -84,8 +85,8 @@ def _check_continuation(monkeypatch, make_curve, values, weights):
     Returns the curve and its solves as ``_counting_solves`` records them.
 
     Each solve equals a fresh problem solved from the start the curve gave
-    it, bit for bit.  Each point converges wherever a cold solve does and is
-    within 1e-14 relative of it.
+    it, bit for bit.  Each point is within 1e-14 relative of a cold solve
+    wherever that converges.
     """
     solves = _counting_solves(monkeypatch)
     curve = make_curve()
@@ -95,7 +96,6 @@ def _check_continuation(monkeypatch, make_curve, values, weights):
     for c, r in zip(curve.grid, curve.rates):
         cold = maxent_rate(MaxEntProblem(values, weights, c))
         if cold.converged:
-            assert not math.isnan(r), (curve.kind, c)
             assert abs(r - cold.rate) <= 1e-14 * abs(cold.rate), (curve.kind, c, r, cold.rate)
     return curve, solves
 
@@ -588,36 +588,28 @@ def test_finite_rates_converge_monotonically_to_the_sup():
     assert gaps[2] < 0.01
 
 
-def test_non_converged_points_become_nan(monkeypatch):
-    starts = []
-
-    def stub(problem, start=0.0):
-        starts.append(start)
-        return MaxEntSolution(
-            lam=0.0,
-            p=(1.0,) * len(problem.values),
-            rate=1.23,
-            converged=False,
-            iterations=200,
-        )
-
-    monkeypatch.setattr(rate_module, "maxent_rate", stub)
-    curve = rate_module.epsilon_curve(CIRCLE, 5)
-    assert all(math.isnan(r) for r in curve.rates)
-    assert concavity_check(curve, 1e-9) == [1, 2, 3]
-    assert starts == [0.0, 0.0, 0.0]
-
-    # One failed point among converged ones: the walk starts cold after it
-    solve, failing = maxent_rate, Fraction(3, 10)
-    starts.clear()
+def test_a_point_that_did_not_converge_raises_naming_its_target(monkeypatch):
+    # One failed point among converged ones: the curve raises there and
+    # solves nothing after it.
+    solve, failing, targets = maxent_rate, Fraction(3, 10), []
 
     def fails_once(problem, start=0.0):
-        starts.append(start)
+        targets.append(problem.target)
         if problem.target == failing:
             return MaxEntSolution(-5.0, (0.5, 0.5), 1.23, False, 200)
         return solve(problem, start)
 
     monkeypatch.setattr(rate_module, "maxent_rate", fails_once)
-    curve = rate_module.epsilon_curve(CIRCLE, 11)
-    assert [math.isnan(r) for r in curve.rates] == [j in (3, 7) for j in range(11)]
-    assert starts[3] != 0.0 and starts[4] == 0.0 and starts[5] != 0.0
+    for curve_of in (epsilon_curve, betti_curve):
+        targets.clear()
+        with pytest.raises(ConvergenceError, match=r"^rate solver did not converge at c=0\.3$"):
+            curve_of(CIRCLE, 11)
+        assert targets == [Fraction(j, 10) for j in range(4)]
+
+
+def test_iteration_cap_raises_from_curves_and_window_suprema(monkeypatch):
+    monkeypatch.setattr(rate_module, "MAX_ITERATIONS", 2)
+    with pytest.raises(ConvergenceError, match=r"at c=0\.1$"):
+        epsilon_curve(TORUS, 11)
+    with pytest.raises(ConvergenceError, match=r"at c=0\.1$"):
+        window_sup_rate((0, HALF, 1), (1, 2, 1), Fraction(1, 20), Fraction(1, 10))

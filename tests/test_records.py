@@ -41,7 +41,7 @@ ROOT = Path(__file__).resolve().parents[1]
 HALF, TENTH = Fraction(1, 2), Fraction(1, 10)
 TORUS = preset("torus")
 CIRCLE = preset("circle")
-ROW = LaplaceRow(10.0, 0.25, 0.14, 512, True)
+ROW = LaplaceRow(10.0, 0.25, 0.14, 512)
 
 # Each record type with its fields, in declaration order, set to two valid
 # sets of values that differ in every field.
@@ -99,7 +99,6 @@ RECORDS = [
             "z": (0.25, 0.08),
             "g": (0.14, 0.025),
             "points": (512, 1024),
-            "converged": (True, False),
         },
     ),
     (LaplaceReport, {"rows": ((ROW,), ()), "violations": ((), ("g not decreasing",))}),
@@ -318,6 +317,17 @@ def test_only_the_spectrum_sources_validate():
         for caller in _callers(ast.parse(path.read_text()), "validate_spectrum")
     }
     assert callers == {("spectrum", "preset"), ("cli", "_load_spectrum")}
+
+
+def test_only_the_solve_that_raises_calls_the_maxent_solver():
+    # A rate that did not converge raises where it is solved, so nothing in
+    # the package reads a MaxEntSolution's converged flag but rate._solve.
+    callers = {
+        (path.stem, caller)
+        for path in (ROOT / "src" / "morse_entropy").glob("*.py")
+        for caller in _callers(ast.parse(path.read_text()), "maxent_rate")
+    }
+    assert callers == {("rate", "_solve")}
 
 
 def test_cli_import_loads_every_module_and_no_dataclasses_inspect_or_json():
