@@ -47,7 +47,6 @@ from .spectrum import (
     SpectrumAtom,
     SpectrumError,
     as_rational,
-    entry_multiset,
     preset,
     preset_names,
     validate_spectrum,
@@ -91,7 +90,6 @@ __all__ = [
     "check_superadditivity",
     "circle_height",
     "count_window",
-    "entry_multiset",
     "epsilon_curve",
     "finite_rate",
     "gibbs",

@@ -241,7 +241,7 @@ def _cmd_curve(args) -> int:
         raise ResourceCapError(f"curve grid of {args.grid} points exceeds the limit {DEFAULT_CAP}")
     spec = _load_spectrum(args)
     eps = epsilon_curve(spec, args.grid) if args.kind in ("both", "epsilon") else None
-    if args.kind == "both" and all(a.betti_weight == a.multiplicity for a in spec.atoms):
+    if args.kind == "both" and Kind.CRITICAL.family(spec) == Kind.BETTI.family(spec):
         bet = eps  # a perfect Morse function: both curves solve one family
     else:
         bet = betti_curve(spec, args.grid) if args.kind in ("both", "betti") else None
@@ -324,8 +324,7 @@ def _cmd_thermo(args) -> int:
     print("beta,free_energy,gibbs_mean,mass_at_value_0")
     for beta in betas:
         state = gibbs(spec, beta)
-        mean, mass = state.mean_value(spec), state.p[0]
-        print(f"{beta:.12g},{state.free_energy:.12g},{mean:.12g},{mass:.12g}")
+        print(f"{beta:.12g},{state.free_energy:.12g},{state.mean:.12g},{state.p[0]:.12g}")
     if report is not None:
         print("beta,g,points")
         for row in report.rows:

@@ -34,10 +34,20 @@ class ResourceCapError(RuntimeError):
 
 
 class Kind(enum.Enum):
-    """Which per-atom weight drives the count."""
+    """Which per-atom weight drives the count, chosen only in :meth:`family`.
 
-    CRITICAL = "critical"   # multiplicity: every critical point
-    BETTI = "betti"         # betti_weight: homologically essential ones
+    CRITICAL, the Morse entropy's, weighs each atom by its ``multiplicity``;
+    BETTI, the Betti number entropy's, by its ``betti_weight``.
+    """
+
+    CRITICAL = "critical"
+    BETTI = "betti"
+
+    def family(self, spec: CriticalSpectrum) -> Tuple[Tuple[Fraction, ...], Tuple[int, ...]]:
+        """The values of the atoms this kind weighs and their weights, atoms of weight 0 left out."""
+        critical = self is Kind.CRITICAL
+        weighed = [(a.value, a.multiplicity if critical else a.betti_weight) for a in spec.atoms]
+        return tuple(zip(*[(v, w) for v, w in weighed if w]))
 
     @property
     def boundary(self) -> Boundary:
@@ -121,10 +131,8 @@ def _check_cap(spec: CriticalSpectrum, n: int, cap: Optional[int]) -> None:
 
 def _site_histogram(spec: CriticalSpectrum, kind: Kind) -> Tuple[int, ...]:
     site = [0] * (spec.denom + 1)
-    for atom in spec.atoms:
-        offset = atom.value.numerator * (spec.denom // atom.value.denominator)
-        weight = atom.multiplicity if kind is Kind.CRITICAL else atom.betti_weight
-        site[offset] += weight
+    for value, weight in zip(*kind.family(spec)):
+        site[value.numerator * (spec.denom // value.denominator)] += weight
     return tuple(site)
 
 

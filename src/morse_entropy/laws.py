@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .counter import Kind, WindowQuery, finite_rate, window_counts
 from .rate import _solve, betti_curve, epsilon_curve, MaxEntProblem, window_sup_rate
-from .spectrum import CriticalSpectrum, entry_multiset
+from .spectrum import CriticalSpectrum
 
 
 class Violation(NamedTuple):
@@ -164,7 +165,7 @@ def check_fekete(
     ns = {n_floor + off for off in _PAIR_OFFSETS if n_floor + off <= n_max - n_floor}
     n_pairs = min(_MAX_PAIRS, sum(a <= b and a + b <= n_max for a in ns for b in ns))
     counts = window_counts(spec, n_max, Kind.BETTI, queries, cap=cap)
-    values, weights = zip(*entry_multiset(spec))
+    values, weights = Kind.BETTI.family(spec)
     tol = 3.0 * math.log(n_max * spec.denom * spec.total_betti) / n_max
 
     violations: List[Violation] = []
@@ -207,10 +208,10 @@ def check_bounds_and_max(spec: CriticalSpectrum, grid_points: int) -> LawReport:
         if not rate_e <= log_p + slack:
             violations.append(Violation(_tag(bound="epsilon_below_log_p", c=c), rate_e, log_p))
 
-    entries = entry_multiset(spec)
+    values, weights = Kind.BETTI.family(spec)
     total_b = spec.total_betti
-    c_star = sum(v * w for v, w in entries) / total_b
-    peak = max(max(bet.rates), _solve(MaxEntProblem(*zip(*entries), c_star)).rate)
+    c_star = sum(map(mul, values, weights)) / total_b
+    peak = max(max(bet.rates), _solve(MaxEntProblem(values, weights, c_star)).rate)
     if not peak >= math.log(total_b) - 1e-9:
         violations.append(
             Violation(_tag(bound="peak_reaches_log_homology", c=c_star), peak, math.log(total_b))

@@ -29,7 +29,8 @@ from itertools import pairwise
 from operator import mul
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
-from .spectrum import CriticalSpectrum, _ValidatedRecord, as_rational, entry_multiset
+from .counter import Kind
+from .spectrum import CriticalSpectrum, _ValidatedRecord, as_rational
 
 #: Hard iteration cap; hitting it is reported, never silently truncated.
 MAX_ITERATIONS = 200
@@ -108,23 +109,22 @@ class MaxEntProblem(
 class MaxEntSolution(NamedTuple):
     """Solver output; ``lam`` is the mean-constraint multiplier.
 
-    ``rate`` equals H(p) + sum p_i log w_i for the returned p, and the
-    envelope identity gives d(rate)/dc = -lam along the curve.  Boundary
-    targets are solved exactly by a point mass, reported with lam = -inf
-    (left end) or +inf (right end), in 0 iterations.  An interior solve's
-    ``iterations`` is the number of family evaluations it made, plus one
-    when it started away from lam = 0.
+    ``rate`` is log Z(lam) - lam * c at the target c, with Z(lam) =
+    sum_i w_i exp(lam * v_i), and d(rate)/dc = -lam along the curve.  A
+    boundary target is solved exactly by a point mass, rate log w there,
+    with lam = -inf (left end) or +inf (right end), in 0 iterations.  An
+    interior solve's ``iterations`` is the number of family evaluations it
+    made, plus one when it started away from lam = 0.
     """
 
     lam: float
-    p: Tuple[float, ...]
     rate: float
     converged: bool
     iterations: int
 
 
-def _family(values: Sequence[float], log_w: Sequence[float], lam: float):
-    """Mean, variance, log Z, and shifted masses with their sum at lam."""
+def _family(values: Sequence[float], log_w: Sequence[float], lam: float) -> Tuple[float, float, float]:
+    """Mean, variance and log Z of the family at lam."""
     scores = [lw + lam * v for lw, v in zip(log_w, values)]
     shift = max(scores)
     masses = [math.exp(s - shift) for s in scores]
@@ -136,13 +136,12 @@ def _family(values: Sequence[float], log_w: Sequence[float], lam: float):
     mean = sum(map(mul, masses, values)) / z
     dev = [v - mean for v in values]
     var = sum(map(mul, masses, map(mul, dev, dev))) / z
-    return mean, var, shift + math.log1p(rest), masses, z
+    return mean, var, shift + math.log1p(rest)
 
 
 def _point_mass(problem: MaxEntProblem, index: int, lam: float) -> MaxEntSolution:
-    p = tuple(float(i == index) for i in range(len(problem.values)))
     rate = math.log(problem.weights[index])
-    return MaxEntSolution(lam=lam, p=p, rate=rate, converged=True, iterations=0)
+    return MaxEntSolution(lam=lam, rate=rate, converged=True, iterations=0)
 
 
 def maxent_rate(problem: MaxEntProblem, start: float = 0.0) -> MaxEntSolution:
@@ -188,9 +187,8 @@ def maxent_rate(problem: MaxEntProblem, start: float = 0.0) -> MaxEntSolution:
         return _point_mass(problem, len(values) - 1, float("inf"))
 
     # From the top edge the problem is reflected, v -> v_max - v, which
-    # negates lam and reverses p.  A mirror-symmetric problem reflects onto
-    # itself, so rate(c) and rate(span - c) agree bit for bit on symmetric
-    # grids.
+    # negates lam.  A mirror-symmetric problem reflects onto itself, so
+    # rate(c) and rate(span - c) agree bit for bit on symmetric grids.
     order = -1 if 2 * num > lo_num + hi_num else 1
     fv, log_w = problem._from_edge[order]
     # int / int rounds the exact difference once, as float(Fraction) does
@@ -200,7 +198,7 @@ def maxent_rate(problem: MaxEntProblem, start: float = 0.0) -> MaxEntSolution:
     # returned lam = 0; a start elsewhere counts as one iteration.
     lam, lo, hi = (start * order if start else 0.0), -math.inf, math.inf
     iterations = 1 if start else 0
-    mean, var, log_z, masses, z = _family(fv, log_w, lam)
+    mean, var, log_z = _family(fv, log_w, lam)
     converged = False
     while True:
         iterations += 1
@@ -226,11 +224,10 @@ def maxent_rate(problem: MaxEntProblem, start: float = 0.0) -> MaxEntSolution:
         if iterations >= MAX_ITERATIONS:
             break
         lam = trial
-        mean, var, log_z, masses, z = _family(fv, log_w, lam)
+        mean, var, log_z = _family(fv, log_w, lam)
 
     return MaxEntSolution(
         lam=lam * order,
-        p=tuple([m / z for m in masses][::order]),
         rate=log_z - lam * mean,
         converged=converged,
         iterations=iterations,
@@ -247,15 +244,13 @@ def _solve(problem: MaxEntProblem, start: float = 0.0) -> MaxEntSolution:
 
 class Curve(
     _ValidatedRecord,
-    NamedTuple(
-        "Curve", [("grid", Tuple[Fraction, ...]), ("rates", Tuple[float, ...]), ("kind", str)]
-    )
+    NamedTuple("Curve", [("grid", Tuple[Fraction, ...]), ("rates", Tuple[float, ...])])
 ):
     """Rates over a strictly increasing rational grid."""
 
     __slots__ = ()
 
-    def __new__(cls, grid: Tuple[Fraction, ...], rates: Tuple[float, ...], kind: str):
+    def __new__(cls, grid: Tuple[Fraction, ...], rates: Tuple[float, ...]):
         if len(grid) != len(rates):
             raise ValueError("grid and rates must have equal length")
         if len(grid) < 2:
@@ -265,10 +260,10 @@ class Curve(
             a.numerator * b.denominator >= b.numerator * a.denominator for a, b in pairwise(grid)
         ):
             raise ValueError("grid must be strictly increasing")
-        return super().__new__(cls, grid, rates, kind)
+        return super().__new__(cls, grid, rates)
 
 
-def _curve(values, weights, grid_points: int, kind: str) -> Curve:
+def _curve(values, weights, grid_points: int) -> Curve:
     """Rates on the grid j / (grid_points - 1), one family for every point.
 
     Every solve re-targets the one family and places its exact grid target
@@ -301,17 +296,17 @@ def _curve(values, weights, grid_points: int, kind: str) -> Curve:
             known = known[-2:] + [sol.lam] if math.isfinite(sol.lam) else []
     # the lower half's mirror image, or the upper walk, run down from c = 1, reversed
     rates[half:] = rates[grid_points - 1 - half::-1] if mirrored else rates[half:][::-1]
-    return Curve(grid=grid, rates=tuple(rates), kind=kind)
+    return Curve(grid=grid, rates=tuple(rates))
 
 
 def epsilon_curve(spec: CriticalSpectrum, grid_points: int) -> Curve:
     """Critical-point growth rate on a uniform grid over [0, 1]; raises as :func:`_curve` does."""
-    return _curve(spec.values(), spec.multiplicities(), grid_points, "epsilon")
+    return _curve(*Kind.CRITICAL.family(spec), grid_points)
 
 
 def betti_curve(spec: CriticalSpectrum, grid_points: int) -> Curve:
     """Homology growth rate on a uniform grid over [0, 1]; raises as :func:`_curve` does."""
-    return _curve(*zip(*entry_multiset(spec)), grid_points, "betti")
+    return _curve(*Kind.BETTI.family(spec), grid_points)
 
 
 def window_sup_rate(
@@ -322,10 +317,12 @@ def window_sup_rate(
 ) -> float:
     """Supremum of the maxent rate over a value window.
 
-    The rate is concave with its peak at the weighted mean of the values,
-    so the supremum is either the peak value log(sum w) or the rate at
-    the window edge nearer the peak.  A window missing the hull entirely
-    returns -inf.  A rate there that does not converge raises ConvergenceError.
+    The rate is concave with its peak log(sum w) at lam = 0, so the
+    supremum is the peak or the rate at the window edge nearer it.  The
+    peak's log Z is summed in log space and its mean measured from the
+    lower hull edge, so weights past the float range still place it.  A
+    window missing the hull entirely returns -inf.  A rate at an edge that
+    does not converge raises ConvergenceError.
     """
     family = MaxEntProblem(values, weights, lo)
     v_min, v_max = family.values[0], family.values[-1]
@@ -333,9 +330,9 @@ def window_sup_rate(
     win_hi = hi if hi <= v_max else v_max
     if win_lo > win_hi:
         return float("-inf")
-    total = sum(family.weights)
-    c_star = sum(wi * float(vi) for wi, vi in zip(family.weights, family.values)) / total
+    mean, _, log_z = _family(*family._from_edge[1], 0.0)
+    c_star = v_min + Fraction(mean)
     if win_lo <= c_star <= win_hi:
-        return math.log(total)
+        return log_z
     edge = win_lo if c_star < win_lo else win_hi
     return _solve(family.at(edge)).rate

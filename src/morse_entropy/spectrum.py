@@ -204,12 +204,3 @@ def preset(name: str) -> CriticalSpectrum:
     except KeyError:
         raise SpectrumError("unknown_preset", f"unknown preset {name!r}; have {', '.join(preset_names())}") from None
     return validate_spectrum(raw)
-
-
-def entry_multiset(spec: CriticalSpectrum) -> Tuple[Tuple[Fraction, int], ...]:
-    """Values where homology enters the filtration, with their weights.
-
-    Atoms of betti_weight zero are dropped; the weights sum to the total
-    homology dimension of the factor.
-    """
-    return tuple((a.value, a.betti_weight) for a in spec.atoms if a.betti_weight > 0)

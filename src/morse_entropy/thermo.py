@@ -50,14 +50,11 @@ _QUADRATURE_MAX_POINTS = 1 << 21
 
 
 class GibbsState(NamedTuple):
-    """Normalised Boltzmann weights over the atoms at inverse temperature beta."""
+    """Boltzmann weights ``p`` over the atoms at one beta, log Z, and the mean value under ``p``."""
 
-    beta: float
     p: Tuple[float, ...]
     free_energy: float
-
-    def mean_value(self, spec: CriticalSpectrum) -> float:
-        return sum(pi * float(a.value) for pi, a in zip(self.p, spec.atoms))
+    mean: float
 
 
 def _atom_floats(spec: CriticalSpectrum) -> Tuple[List[float], List[float]]:
@@ -81,10 +78,11 @@ def gibbs(spec: CriticalSpectrum, beta: float) -> GibbsState:
     """Boltzmann distribution over atoms at a finite beta; concentrates on value 0 as it grows."""
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    shift, masses = _boltzmann(*_atom_floats(spec), beta)
+    log_m, fv = _atom_floats(spec)
+    shift, masses = _boltzmann(log_m, fv, beta)
     z = sum(masses)
     p = tuple(m / z for m in masses)
-    return GibbsState(beta=float(beta), p=p, free_energy=_log_z(shift, masses))
+    return GibbsState(p=p, free_energy=_log_z(shift, masses), mean=sum(map(mul, p, fv)))
 
 
 def _gibbs_mean(log_m: List[float], fv: List[float], beta: float) -> float:
@@ -205,7 +203,6 @@ def _circle_sum(beta: float, points: int, ks: range, total: float = 0.0) -> floa
 
 class LaplaceRow(NamedTuple):
     beta: float
-    z: float
     g: float
     points: int
 
@@ -260,7 +257,7 @@ def laplace_check(beta_grid: Sequence[float]) -> LaplaceReport:
         else:
             raise ConvergenceError(f"quadrature did not settle at beta={beta:g}")
         g = -math.log(z) / beta
-        rows.append(LaplaceRow(beta=beta, z=z, g=g, points=points))
+        rows.append(LaplaceRow(beta=beta, g=g, points=points))
         if beta >= 10.0:
             bound = 5.0 * math.log(beta) / beta
             if not 0.0 < g <= bound:

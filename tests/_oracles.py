@@ -26,7 +26,6 @@ from morse_entropy import (
     SpectrumAtom,
     Violation,
     WindowQuery,
-    entry_multiset,
     finite_rate,
     validate_spectrum,
     window_sup_rate,
@@ -168,7 +167,7 @@ def full_sweep_check_fekete(spec, centres, delta, n_max, cap=None):
 
     columns = zip(*(row(n, counts) for n, counts in enumerate(_sweep(spec, Kind.BETTI, n_max, cap), 1)))
     pairs = fekete_pairs(delta, n_max)
-    entries = entry_multiset(spec)
+    entries = [(a.value, a.betti_weight) for a in spec.atoms if a.betti_weight > 0]
     tol = 3.0 * math.log(n_max * spec.denom * spec.total_betti) / n_max
 
     def tag(**kwargs):

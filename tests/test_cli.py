@@ -363,7 +363,7 @@ def test_verify_with_a_solve_that_did_not_converge_exits_three(capsys, monkeypat
 
 
 def test_emit_curve_spells_out_nonfinite_values():
-    curve = Curve((Fraction(0), Fraction(1, 2), Fraction(1)), (-math.inf, math.inf, math.nan), "epsilon")
+    curve = Curve((Fraction(0), Fraction(1, 2), Fraction(1)), (-math.inf, math.inf, math.nan))
     assert emit_curve(curve, None, math.inf) == (
         "c,epsilon,betti,log_p_bound\n0,-inf,,inf\n0.5,inf,,inf\n1,nan,,inf\n"
     )
@@ -1056,7 +1056,7 @@ def test_thermo_refuses_an_empty_beta_list(capsys):
 
 
 def test_thermo_laplace_violation_exits_two(capsys, monkeypatch):
-    row = thermo_module.LaplaceRow(beta=10.0, z=0.25, g=0.125, points=512)
+    row = thermo_module.LaplaceRow(beta=10.0, g=0.125, points=512)
     report = thermo_module.LaplaceReport(rows=(row,), violations=("g(10) = 0.125 outside (0, 0.1]",))
     monkeypatch.setattr(cli_module, "laplace_check", lambda betas: report)
     assert run(["thermo", "--preset", "circle", "--beta", "10", "--laplace"]) == 2

@@ -32,6 +32,29 @@ CIRCLE = preset("circle")
 TORUS = preset("torus")
 
 
+def test_betti_family_drops_silent_atoms():
+    spec = validate_spectrum([(0, 1, 1), ("1/2", 2, 0), ("2/3", 3, 2), (1, 1, 1)])
+    values, weights = Kind.BETTI.family(spec)
+    assert values == (Fraction(0), Fraction(2, 3), Fraction(1)) and weights == (1, 2, 1)
+    assert sum(weights) == spec.total_betti
+
+
+def test_kind_families_are_the_weights_each_entropy_counts():
+    # CRITICAL weighs every atom by its multiplicity, BETTI the atoms of
+    # nonzero betti_weight by it, and the two agree exactly on a perfect
+    # Morse function, where every betti_weight equals its multiplicity.
+    seen = set()
+    for seed in range(300):
+        spec = random_spectrum(random.Random(seed))
+        assert Kind.CRITICAL.family(spec) == (spec.values(), spec.multiplicities())
+        entries = [(a.value, a.betti_weight) for a in spec.atoms if a.betti_weight != 0]
+        assert Kind.BETTI.family(spec) == (tuple(v for v, _ in entries), tuple(w for _, w in entries))
+        perfect = all(a.betti_weight == a.multiplicity for a in spec.atoms)
+        assert (Kind.CRITICAL.family(spec) == Kind.BETTI.family(spec)) == perfect
+        seen.add((perfect, any(a.betti_weight == 0 for a in spec.atoms)))
+    assert {(True, False), (False, True), (False, False)} <= seen
+
+
 def test_circle_two_copies_critical_counts():
     # enumeration oracle: (0,0) -> 0, (0,1) and (1,0) -> 1/2, (1,1) -> 1
     dist = mean_distribution(CIRCLE, 2, Kind.CRITICAL)

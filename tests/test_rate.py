@@ -96,7 +96,7 @@ def _check_continuation(monkeypatch, make_curve, values, weights):
     for c, r in zip(curve.grid, curve.rates):
         cold = maxent_rate(MaxEntProblem(values, weights, c))
         if cold.converged:
-            assert abs(r - cold.rate) <= 1e-14 * abs(cold.rate), (curve.kind, c, r, cold.rate)
+            assert abs(r - cold.rate) <= 1e-14 * abs(cold.rate), (c, r, cold.rate)
     return curve, solves
 
 
@@ -172,31 +172,27 @@ def test_target_outside_hull():
 def test_boundary_targets_are_point_masses():
     left = maxent_rate(MaxEntProblem((Fraction(0), Fraction(1)), (1.0, 1.0), 0))
     assert left.lam == float("-inf")
-    assert left.p == (1.0, 0.0)
     assert left.rate == 0.0
-    assert left.converged
+    assert left.converged and left.iterations == 0
 
     right = maxent_rate(MaxEntProblem((Fraction(0), HALF, Fraction(1)), (1.0, 2.0, 3.0), 1))
     assert right.lam == float("inf")
-    assert right.p == (0.0, 0.0, 1.0)
     assert right.rate == math.log(3.0)
 
 
 def test_the_iteration_cap_returns_the_state_at_the_returned_multiplier(monkeypatch):
     # Torus weights (1, 2, 1) at 1/7: two iterations do not converge, and
-    # rate and p are the family's at the lam that comes back.
+    # the rate is the family's at the lam that comes back.
     monkeypatch.setattr(rate_module, "MAX_ITERATIONS", 2)
     sol = maxent_rate(MaxEntProblem((0, HALF, 1), (1.0, 2.0, 1.0), Fraction(1, 7)))
     assert not sol.converged and sol.iterations == 2
-    mean, _, log_z, masses, z = rate_module._family([0.0, 0.5, 1.0], [0.0, math.log(2.0), 0.0], sol.lam)
+    mean, _, log_z = rate_module._family([0.0, 0.5, 1.0], [0.0, math.log(2.0), 0.0], sol.lam)
     assert sol.rate == log_z - sol.lam * mean
-    assert sol.p == tuple(m / z for m in masses)
 
 
 def test_single_atom():
     sol = maxent_rate(MaxEntProblem((HALF,), (3.0,), HALF))
     assert sol.lam == 0.0
-    assert sol.p == (1.0,)
     assert sol.rate == math.log(3.0)
 
 
@@ -215,8 +211,8 @@ def test_circle_closed_form():
         assert sol.converged
         assert sol.rate == pytest.approx(binary_entropy(float(c)), abs=1e-9)
         assert sol.lam == pytest.approx(math.log(float(c) / (1.0 - float(c))), abs=1e-8)
-        assert sum(sol.p) == pytest.approx(1.0, abs=1e-12)
-        assert sol.p[1] == pytest.approx(float(c), abs=1e-9)
+        # the family's mass at 1, e^lam / (1 + e^lam), is the target mean
+        assert 1.0 / (1.0 + math.exp(-sol.lam)) == pytest.approx(float(c), abs=1e-9)
 
 
 def test_shifted_two_atom_closed_form():
@@ -259,7 +255,9 @@ def test_top_edge_targets_of_asymmetric_weights_are_relatively_accurate():
         want = edge_binary_entropy(c) + float(1 - c) * math.log(3.0)
         assert sol.converged
         assert sol.rate == pytest.approx(want, rel=1e-9, abs=0.0)
-        assert sol.p[0] == pytest.approx(float(1 - c), rel=1e-9, abs=0.0)
+        # the mass 3 / (3 + e^lam) at 0 is 1 - c to 1e-9 relative when lam
+        # = log(3c / (1 - c)) holds to 1e-9 absolute
+        assert sol.lam == pytest.approx(math.log(3 * (c / (1 - c))), rel=0.0, abs=1e-9)
 
 
 def _counting_solves(monkeypatch):
@@ -332,7 +330,7 @@ DRAW_5 = random_spectrum(random.Random(5))
 )
 def test_asymmetric_families_solve_every_grid_point(monkeypatch, values, weights):
     solves = _counting_solves(monkeypatch)
-    rate_module._curve(values, weights, 1001, "epsilon")
+    rate_module._curve(values, weights, 1001)
     assert len(solves) == 1001
 
 
@@ -411,7 +409,7 @@ def test_mirrored_curves_equal_fresh_solves(monkeypatch, spec, grid_points):
 def test_symmetric_values_with_asymmetric_weights_are_not_mirrored(monkeypatch, grid_points):
     values, weights = (Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1)), (2.0, 1.0, 3.0, 2.0)
     curve, solves = _check_continuation(
-        monkeypatch, lambda: rate_module._curve(values, weights, grid_points, "epsilon"),
+        monkeypatch, lambda: rate_module._curve(values, weights, grid_points),
         values, weights,
     )
     assert len(solves) == grid_points
@@ -421,7 +419,7 @@ def test_symmetric_values_with_asymmetric_weights_are_not_mirrored(monkeypatch, 
 
 def test_each_half_walks_in_from_its_own_edge(monkeypatch):
     solves = _counting_solves(monkeypatch)
-    rate_module._curve(DRAW_5.values(), DRAW_5.multiplicities(), 11, "epsilon")
+    rate_module._curve(DRAW_5.values(), DRAW_5.multiplicities(), 11)
     targets = [problem.target for problem, _, _ in solves]
     assert targets == [Fraction(j, 10) for j in (*range(6), *range(10, 5, -1))]
     starts = [start for _, start, _ in solves]
@@ -437,9 +435,8 @@ SPANNING = MaxEntProblem((Fraction(-1, 3), HALF, Fraction(4, 3)), (1.0, 2.0, 3.0
 
 def test_targets_at_non_dyadic_ends_are_point_masses():
     for target, index, lam in ((Fraction(1, 3), 0, -math.inf), (Fraction(2, 3), 2, math.inf)):
-        p = tuple(float(i == index) for i in range(3))
         rate = math.log(NON_DYADIC.weights[index])
-        want = MaxEntSolution(lam=lam, p=p, rate=rate, converged=True, iterations=0)
+        want = MaxEntSolution(lam=lam, rate=rate, converged=True, iterations=0)
         assert maxent_rate(NON_DYADIC.at(target)) == want
 
 
@@ -489,20 +486,20 @@ def test_float_targets_are_read_as_the_binary_fraction_they_hold(target):
 
 
 def test_mirror_solution_reflects_masses():
+    # the mirror target's family is the mirror image at the negated lam
     sol_lo = maxent_rate(MaxEntProblem((Fraction(0), Fraction(1)), (1.0, 1.0), Fraction(3, 10)))
     sol_hi = maxent_rate(MaxEntProblem((Fraction(0), Fraction(1)), (1.0, 1.0), Fraction(7, 10)))
     assert sol_hi.lam == -sol_lo.lam
-    assert sol_hi.p == tuple(reversed(sol_lo.p))
     assert sol_hi.rate == sol_lo.rate
 
 
 def test_curve_construction_checks():
     with pytest.raises(ValueError):
-        Curve(grid=(Fraction(0),), rates=(0.0,), kind="epsilon")
+        Curve(grid=(Fraction(0),), rates=(0.0,))
     with pytest.raises(ValueError):
-        Curve(grid=(Fraction(0), Fraction(1)), rates=(0.0,), kind="epsilon")
+        Curve(grid=(Fraction(0), Fraction(1)), rates=(0.0,))
     with pytest.raises(ValueError):
-        Curve(grid=(Fraction(1), Fraction(0)), rates=(0.0, 0.0), kind="epsilon")
+        Curve(grid=(Fraction(1), Fraction(0)), rates=(0.0, 0.0))
     with pytest.raises(ValueError):
         epsilon_curve(CIRCLE, 1)
 
@@ -510,7 +507,6 @@ def test_curve_construction_checks():
 def test_curves_on_circle_match_binary_entropy():
     eps = epsilon_curve(CIRCLE, 21)
     bet = betti_curve(CIRCLE, 21)
-    assert eps.kind == "epsilon" and bet.kind == "betti"
     for c, r in zip(eps.grid, eps.rates):
         assert r == pytest.approx(binary_entropy(float(c)), abs=1e-9)
     # identical weights, so the curves must agree bit for bit
@@ -546,15 +542,15 @@ def test_concavity_check_passes_on_presets():
 
 def test_concavity_check_flags_dents():
     grid = (Fraction(0), HALF, Fraction(1))
-    assert concavity_check(Curve(grid, (0.0, -1.0, 0.0), "x"), 1e-9) == [1]
-    assert concavity_check(Curve(grid, (0.0, float("-inf"), 0.0), "x"), 1e-9) == [1]
+    assert concavity_check(Curve(grid, (0.0, -1.0, 0.0)), 1e-9) == [1]
+    assert concavity_check(Curve(grid, (0.0, float("-inf"), 0.0)), 1e-9) == [1]
     # -inf shoulders never certify a violation
-    assert concavity_check(Curve(grid, (float("-inf"), 1.0, float("-inf")), "x"), 1e-9) == []
-    assert concavity_check(Curve(grid, (0.0, math.nan, 0.0), "x"), 1e-9) == [1]
+    assert concavity_check(Curve(grid, (float("-inf"), 1.0, float("-inf"))), 1e-9) == []
+    assert concavity_check(Curve(grid, (0.0, math.nan, 0.0)), 1e-9) == [1]
 
 
 def test_concavity_check_requires_uniform_grid():
-    curve = Curve((Fraction(0), Fraction(1, 4), Fraction(1)), (0.0, 0.1, 0.0), "x")
+    curve = Curve((Fraction(0), Fraction(1, 4), Fraction(1)), (0.0, 0.1, 0.0))
     with pytest.raises(ValueError, match="uniform"):
         concavity_check(curve, 1e-9)
 
@@ -570,6 +566,17 @@ def test_window_sup_rate():
     # window clipped to the hull
     assert window_sup_rate(values, w, Fraction(-1), Fraction(2)) == math.log(2.0)
     assert window_sup_rate((HALF,), (4.0,), Fraction(0), Fraction(1)) == math.log(4.0)
+
+
+def test_window_sup_rate_past_the_float_range_of_the_weight_sum():
+    # The weights sum to 2e308, past the largest float: the peak's log Z
+    # and its location still come out, from the family at lam = 0.
+    values, w = (0, HALF, 1), (1e308, 1.0, 1e308)
+    edge = window_sup_rate(values, w, 0, Fraction(1, 10))
+    assert edge == maxent_rate(MaxEntProblem(values, w, Fraction(1, 10))).rate
+    assert edge == pytest.approx(709.5213, abs=1e-4)
+    peak = window_sup_rate(values, w, Fraction(1, 4), Fraction(3, 4))
+    assert peak == pytest.approx(math.log(2.0) + math.log(1e308), rel=1e-15)
 
 
 def test_finite_rates_converge_monotonically_to_the_sup():
@@ -596,7 +603,7 @@ def test_a_point_that_did_not_converge_raises_naming_its_target(monkeypatch):
     def fails_once(problem, start=0.0):
         targets.append(problem.target)
         if problem.target == failing:
-            return MaxEntSolution(-5.0, (0.5, 0.5), 1.23, False, 200)
+            return MaxEntSolution(-5.0, 1.23, False, 200)
         return solve(problem, start)
 
     monkeypatch.setattr(rate_module, "maxent_rate", fails_once)

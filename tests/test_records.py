@@ -41,7 +41,7 @@ ROOT = Path(__file__).resolve().parents[1]
 HALF, TENTH = Fraction(1, 2), Fraction(1, 10)
 TORUS = preset("torus")
 CIRCLE = preset("circle")
-ROW = LaplaceRow(10.0, 0.25, 0.14, 512)
+ROW = LaplaceRow(10.0, 0.14, 512)
 
 # Each record type with its fields, in declaration order, set to two valid
 # sets of values that differ in every field.
@@ -77,7 +77,6 @@ RECORDS = [
         MaxEntSolution,
         {
             "lam": (0.5, -1.0),
-            "p": ((0.25, 0.75), (0.5, 0.5)),
             "rate": (-0.5, 0.25),
             "converged": (True, False),
             "iterations": (6, 200),
@@ -88,19 +87,10 @@ RECORDS = [
         {
             "grid": ((Fraction(0), Fraction(1)), (Fraction(0), HALF, Fraction(1))),
             "rates": ((0.0, 0.0), (0.0, 0.5, 0.0)),
-            "kind": ("epsilon", "betti"),
         },
     ),
-    (GibbsState, {"beta": (1.0, 2.0), "p": ((0.7, 0.3), (0.9, 0.1)), "free_energy": (0.5, 0.1)}),
-    (
-        LaplaceRow,
-        {
-            "beta": (10.0, 100.0),
-            "z": (0.25, 0.08),
-            "g": (0.14, 0.025),
-            "points": (512, 1024),
-        },
-    ),
+    (GibbsState, {"p": ((0.7, 0.3), (0.9, 0.1)), "free_energy": (0.5, 0.1), "mean": (0.3, 0.1)}),
+    (LaplaceRow, {"beta": (10.0, 100.0), "g": (0.14, 0.025), "points": (512, 1024)}),
     (LaplaceReport, {"rows": ((ROW,), ()), "violations": ((), ("g not decreasing",))}),
     (
         Violation,
@@ -147,7 +137,7 @@ def test_window_query_default_boundary_and_rational_inputs():
         (WindowQuery(HALF, TENTH), {"c": 2}, "misses"),
         (MeanDistribution(1, 1, (1, 1), Kind.BETTI), {"n": 0}, "n must be >= 1"),
         (MeanDistribution(1, 1, (1, 1), Kind.BETTI), {"counts": (1,)}, "does not match"),
-        (Curve((0, 1), (0.0, 0.0), "epsilon"), {"rates": (0.0,)}, "equal length"),
+        (Curve((0, 1), (0.0, 0.0)), {"rates": (0.0,)}, "equal length"),
         (MaxEntProblem((0, 1), (1.0, 1.0), HALF), {"weights": (1.0, 0.0)}, "positive"),
         (SpectrumAtom(HALF, 2, 1), {"betti_weight": 3}, "betti_weight 3 > multiplicity 2"),
         (SpectrumAtom(HALF, 2, 1), {"value": 2}, r"outside \[0, 1\]"),
@@ -245,7 +235,6 @@ PUBLIC_API = [
     "check_superadditivity",
     "circle_height",
     "count_window",
-    "entry_multiset",
     "epsilon_curve",
     "finite_rate",
     "gibbs",
@@ -290,22 +279,32 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported - used) == []
 
 
-def _callers(tree, name):
-    """Names of the functions in ``tree`` that call ``name``, ``<module>`` for top-level calls."""
-    callers = set()
+def _sites(tree, hit):
+    """Names of the functions in ``tree`` holding a node that ``hit`` accepts, ``<module>`` at top level."""
+    sites = set()
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
-                callers.add(where)
+        if hit(node):
+            sites.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(tree, "<module>")
-    return callers
+    return sites
+
+
+def _callers(tree, name):
+    """Names of the functions in ``tree`` that call ``name``, ``<module>`` for top-level calls."""
+
+    def calls(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
+
+    return _sites(tree, calls)
 
 
 def test_only_the_spectrum_sources_validate():
@@ -317,6 +316,23 @@ def test_only_the_spectrum_sources_validate():
         for caller in _callers(ast.parse(path.read_text()), "validate_spectrum")
     }
     assert callers == {("spectrum", "preset"), ("cli", "_load_spectrum")}
+
+
+def test_only_kind_family_chooses_what_an_atom_weighs():
+    # Kind.family is the one rule that picks betti_weight over
+    # multiplicity; outside spectrum.py only it, and the CLI's spectrum
+    # printout, read the attribute at all.
+    readers = {
+        (path.stem, reader)
+        for path in (ROOT / "src" / "morse_entropy").glob("*.py")
+        if path.stem != "spectrum"
+        for reader in _sites(
+            ast.parse(path.read_text()),
+            lambda node: isinstance(node, ast.Attribute) and node.attr == "betti_weight",
+        )
+    }
+    assert readers == {("counter", "family"), ("cli", "_cmd_spectrum")}
+    assert not any("entry_multiset" in path.read_text() for path in (ROOT / "src").rglob("*.py"))
 
 
 def test_only_the_solve_that_raises_calls_the_maxent_solver():

@@ -15,7 +15,6 @@ from morse_entropy import (
     SpectrumAtom,
     SpectrumError,
     as_rational,
-    entry_multiset,
     preset,
     preset_names,
     validate_spectrum,
@@ -195,13 +194,6 @@ def test_as_rational_refuses_an_exponent_over_the_digit_limit():
         assert as_rational("1e4301") == 10**4301
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-def test_entry_multiset_drops_silent_atoms():
-    spec = validate_spectrum([(0, 1, 1), ("1/2", 2, 0), ("2/3", 3, 2), (1, 1, 1)])
-    entries = entry_multiset(spec)
-    assert entries == ((Fraction(0), 1), (Fraction(2, 3), 2), (Fraction(1), 1))
-    assert sum(w for _, w in entries) == spec.total_betti
 
 
 @st.composite

@@ -43,17 +43,24 @@ def test_circle_free_energy_closed_form():
 
 def test_gibbs_weights_on_the_circle():
     state = gibbs(CIRCLE, 10.0)
-    assert state.beta == 10.0
     assert sum(state.p) == pytest.approx(1.0, abs=1e-12)
     assert state.p[0] == pytest.approx(1.0 / (1.0 + math.exp(-10.0)), abs=1e-12)
     assert state.free_energy == pytest.approx(math.log1p(math.exp(-10.0)), abs=1e-12)
-    assert state.mean_value(CIRCLE) == pytest.approx(1.0 / (1.0 + math.exp(10.0)), abs=1e-12)
+    assert state.mean == pytest.approx(1.0 / (1.0 + math.exp(10.0)), abs=1e-12)
+
+
+def test_gibbs_mean_is_the_weighted_sum_in_atom_order():
+    # bit for bit the sum over the atoms, in order, that the CLI prints
+    for spec in (CIRCLE, TORUS, random_spectrum(random.Random(3)), random_spectrum(random.Random(8))):
+        for beta in (-40.0, -1.5, 0.0, 1 / 3, 2.5, 60.0):
+            state = gibbs(spec, beta)
+            assert state.mean == sum(pi * float(a.value) for pi, a in zip(state.p, spec.atoms))
 
 
 def test_gibbs_concentrates_on_the_bottom():
     state = gibbs(TORUS, 200.0)
     assert state.p[0] == pytest.approx(1.0, abs=1e-12)
-    assert state.mean_value(TORUS) == pytest.approx(0.0, abs=1e-12)
+    assert state.mean == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
@@ -81,7 +88,7 @@ def test_free_energy_slope_is_minus_gibbs_mean():
     h = 1e-5
     for spec in (CIRCLE, TORUS):
         slope = (gibbs(spec, 0.7 + h).free_energy - gibbs(spec, 0.7 - h).free_energy) / (2.0 * h)
-        assert slope == pytest.approx(-gibbs(spec, 0.7).mean_value(spec), abs=1e-6)
+        assert slope == pytest.approx(-gibbs(spec, 0.7).mean, abs=1e-6)
 
 
 def test_legendre_boundary_values():
@@ -255,7 +262,6 @@ def test_laplace_squeeze_values():
     assert g[2] == pytest.approx(0.004026, abs=5e-6)
     for row in report.rows:
         assert row.points >= 512
-        assert row.z == pytest.approx(math.exp(-row.beta * row.g), rel=1e-9)
 
 
 def test_laplace_refinement_evaluates_only_new_midpoints(monkeypatch):
